@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +86,21 @@ def config_digest(raw):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _is_finite_number(value):
+    """A JSON number other than NaN or +-Infinity (booleans excluded)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _require(raw, key, kind, where="config"):
     if key not in raw:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = raw[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+        if not _is_finite_number(value):
+            raise ConfigError(
+                f"{where}.{key}: expected a finite number, got {value!r}"
+            )
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -187,7 +196,7 @@ def _parse_couplings(raw, sites):
         raise ConfigError("couplings: expected exactly one of 'chain' or 'edges'")
     (kind, value), = spec.items()
     if kind == "chain":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_finite_number(value):
             raise ConfigError(f"couplings.chain: expected a coupling, got {value!r}")
         return chain_graph(sites, float(value))
     if kind == "edges":
@@ -196,7 +205,7 @@ def _parse_couplings(raw, sites):
         edges = []
         for i, edge in enumerate(value):
             if (not isinstance(edge, list) or len(edge) != 3
-                    or not all(isinstance(x, (int, float)) for x in edge)):
+                    or not all(_is_finite_number(x) for x in edge)):
                 raise ConfigError(
                     f"couplings.edges[{i}]: expected [site, site, coupling]"
                 )
@@ -258,13 +267,12 @@ def _parse_sweep(raw):
         values = spec["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: expected a non-empty list")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in values):
-            raise ConfigError("sweep.values: entries must be numbers")
+        if not all(_is_finite_number(v) for v in values):
+            raise ConfigError("sweep.values: entries must be finite numbers")
         return SweepSpec(param, tuple(float(v) for v in values))
     grid = spec["linspace"]
     if (not isinstance(grid, list) or len(grid) != 3
-            or not all(isinstance(v, (int, float)) for v in grid)
+            or not all(_is_finite_number(v) for v in grid)
             or int(grid[2]) != grid[2] or grid[2] < 1):
         raise ConfigError("sweep.linspace: expected [start, stop, count]")
     values = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
@@ -343,15 +351,18 @@ def parse_config(raw):
     if unknown:
         raise ConfigError(f"tolerances: unknown fields {sorted(unknown)}")
     iterate_tol = tolerances.get("iterate_tol", DEFAULT_ITERATE_TOL)
-    if not isinstance(iterate_tol, (int, float)) or iterate_tol <= 0:
-        raise ConfigError(f"tolerances.iterate_tol: must be positive, got {iterate_tol!r}")
+    if not _is_finite_number(iterate_tol) or iterate_tol <= 0:
+        raise ConfigError(
+            f"tolerances.iterate_tol: must be positive and finite, got {iterate_tol!r}"
+        )
     max_iter = tolerances.get("max_iter", DEFAULT_MAX_ITER)
     if not isinstance(max_iter, int) or max_iter < 1:
         raise ConfigError(f"tolerances.max_iter: must be a positive integer, got {max_iter!r}")
     peripheral_tol = tolerances.get("peripheral_tol", PERIPHERAL_ATOL)
-    if not isinstance(peripheral_tol, (int, float)) or peripheral_tol <= 0:
+    if not _is_finite_number(peripheral_tol) or peripheral_tol <= 0:
         raise ConfigError(
-            f"tolerances.peripheral_tol: must be positive, got {peripheral_tol!r}"
+            f"tolerances.peripheral_tol: must be positive and finite, "
+            f"got {peripheral_tol!r}"
         )
 
     two_bath_mode = raw.get("two_bath_mode", "simultaneous")

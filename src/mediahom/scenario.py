@@ -294,8 +294,10 @@ def _with_overrides(cfg, tol, max_iter):
         return cfg
     changes = {}
     if tol is not None:
-        if tol <= 0:
-            raise ConfigError(f"tolerances.iterate_tol: must be positive, got {tol}")
+        if not math.isfinite(tol) or tol <= 0:
+            raise ConfigError(
+                f"tolerances.iterate_tol: must be positive and finite, got {tol}"
+            )
         changes["iterate_tol"] = float(tol)
     if max_iter is not None:
         if max_iter < 1:

@@ -1,7 +1,12 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mediahom
 from mediahom.cli import main
 
 
@@ -118,6 +123,26 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("overrides,field", [
+    ({"t": math.nan}, "config.t"),
+    ({"model": "xxz", "delta": math.inf}, "config.delta"),
+    ({"tolerances": {"iterate_tol": math.inf}}, "tolerances.iterate_tol"),
+], ids=["t", "delta", "iterate_tol"])
+def test_non_finite_number_exits_2(tmp_path, overrides, field):
+    # json writes and reads NaN / Infinity; they must be refused as config
+    # errors, not fail later inside an eigensolver
+    cfg = write_config(tmp_path, **overrides)
+    src = os.path.dirname(os.path.dirname(mediahom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mediahom.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"config error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_computation_failure_exits_1(tmp_path, capsys):

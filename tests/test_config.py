@@ -114,6 +114,7 @@ def test_matrix_bath_state():
 
 
 def test_error_messages_name_the_field():
+    nan, inf = float("nan"), float("inf")
     cases = [
         (base_raw(model="ising"), "model"),
         (base_raw(sites=0), "sites"),
@@ -131,6 +132,20 @@ def test_error_messages_name_the_field():
         (base_raw(two_bath_mode="parallel"), "two_bath_mode"),
         (base_raw(bath_report="verbose"), "bath_report"),
         (base_raw(nonsense=1), "unknown fields"),
+        # NaN and +-Infinity, which Python's json reads
+        (base_raw(t=nan), "config.t"),
+        (base_raw(t=-inf), "config.t"),
+        (base_raw(model="xxz", delta=nan), "config.delta"),
+        (base_raw(couplings={"chain": inf}), "couplings.chain"),
+        (base_raw(couplings={"edges": [[0, 1, nan]]}), "couplings.edges[0]"),
+        (base_raw(couplings={"edges": [[nan, 1, 1.0]]}), "couplings.edges[0]"),
+        (base_raw(tolerances={"iterate_tol": inf}), "tolerances.iterate_tol"),
+        (base_raw(tolerances={"iterate_tol": nan}), "tolerances.iterate_tol"),
+        (base_raw(tolerances={"max_iter": inf}), "tolerances.max_iter"),
+        (base_raw(tolerances={"peripheral_tol": nan}), "tolerances.peripheral_tol"),
+        (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
+        (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),
+        (base_raw(sweep={"param": "t", "linspace": [0, inf, 3]}), "sweep.linspace"),
     ]
     for raw, fragment in cases:
         with pytest.raises(ConfigError) as info:

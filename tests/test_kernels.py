@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from mediahom import qmath
-from mediahom._kernels import _pure, backend_name
-from mediahom._kernels import apply_kraus, hermitian_trace_norm
+from mediahom._kernels import apply_kraus, backend_name, hermitian_trace_norm
 from mediahom._kernels import iterate_to_target, iterate_until, trajectory
-
-try:
-    from mediahom._kernels import _compiled
-except ImportError:  # pragma: no cover - build without the extension
-    _compiled = None
-
-BACKENDS = [_pure] + ([_compiled] if _compiled is not None else [])
 
 
 def damping_kraus(gamma):
@@ -29,15 +21,13 @@ def random_kraus(dim, n_ops, rng):
 
 
 def test_backend_name_is_declared():
-    assert backend_name() in ("pure", "compiled")
-    assert _pure.BACKEND == "pure"
+    assert backend_name() == "numpy"
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_apply_kraus_closed_form(backend):
+def test_apply_kraus_closed_form():
     kraus = damping_kraus(0.36)
     rho = np.array([[0.25, 0.3j], [-0.3j, 0.75]], dtype=complex)
-    out = backend.apply_kraus(kraus, rho)
+    out = apply_kraus(kraus, rho)
     # amplitude damping: p00 -> p00 + g p11, coherence scales by sqrt(1-g)
     expected = np.array(
         [[0.25 + 0.36 * 0.75, 0.3j * 0.8], [-0.3j * 0.8, 0.75 * 0.64]]
@@ -45,55 +35,29 @@ def test_apply_kraus_closed_form(backend):
     assert np.abs(out - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_trace_norm_matches_svd_route(backend, rng):
+def test_trace_norm_matches_svd_route(rng):
     h = qmath.random_hermitian(6, rng)
-    assert np.isclose(backend.hermitian_trace_norm(h), qmath.trace_norm(h),
-                      atol=1e-10)
-    assert backend.hermitian_trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+    assert np.isclose(hermitian_trace_norm(h), qmath.trace_norm(h), atol=1e-10)
+    assert hermitian_trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
-@pytest.mark.parametrize("dim,n_ops", [(2, 2), (4, 3), (8, 4), (16, 2)])
-def test_backends_agree(dim, n_ops, rng):
-    if _compiled is None:
-        pytest.skip("compiled backend not built")
-    kraus = random_kraus(dim, n_ops, rng)
-    rho = qmath.random_density(dim, rng)
-    a = _pure.apply_kraus(kraus, rho)
-    b = _compiled.apply_kraus(kraus, rho)
-    assert np.abs(a - b).max() < 1e-13
-
-    ta = _pure.trajectory(kraus, rho, 25)
-    tb = _compiled.trajectory(kraus, rho, 25)
-    assert np.abs(ta - tb).max() < 1e-12
-
-    ra, ka, res_a, ok_a = _pure.iterate_until(kraus, rho, 1e-9, 5000)
-    rb, kb, res_b, ok_b = _compiled.iterate_until(kraus, rho, 1e-9, 5000)
-    assert (ka, ok_a) == (kb, ok_b)
-    assert np.abs(ra - rb).max() < 1e-11
-    assert abs(res_a - res_b) < 1e-11
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_trajectory_shape_and_start(backend, rng):
+def test_trajectory_shape_and_start(rng):
     kraus = damping_kraus(0.5)
     rho = qmath.random_density(2, rng)
-    traj = backend.trajectory(kraus, rho, 4)
+    traj = trajectory(kraus, rho, 4)
     assert traj.shape == (5, 2, 2)
     assert np.array_equal(traj[0], rho)
     # each step must equal a fresh single application
     for k in range(4):
-        assert np.abs(traj[k + 1] - backend.apply_kraus(kraus, traj[k])).max() < 1e-13
+        assert np.abs(traj[k + 1] - apply_kraus(kraus, traj[k])).max() < 1e-13
     # n = 0 returns only the input
-    assert backend.trajectory(kraus, rho, 0).shape == (1, 2, 2)
+    assert trajectory(kraus, rho, 0).shape == (1, 2, 2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_iterate_until_converges_to_fixed_point(backend):
+def test_iterate_until_converges_to_fixed_point():
     kraus = damping_kraus(0.4)
     rho0 = np.eye(2, dtype=complex) / 2
-    rho, used, residual, converged = backend.iterate_until(kraus, rho0,
-                                                           1e-12, 500)
+    rho, used, residual, converged = iterate_until(kraus, rho0, 1e-12, 500)
     assert converged
     assert residual <= 1e-12
     # amplitude damping relaxes onto |0><0|
@@ -103,12 +67,11 @@ def test_iterate_until_converges_to_fixed_point(backend):
     assert 0 < used < 500
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_iterate_until_reports_failure(backend, rng):
+def test_iterate_until_reports_failure(rng):
     # a unitary channel never settles from a non-fixed state
     u = qmath.random_unitary(2, rng)
     kraus = np.ascontiguousarray(u[None, :, :])
-    rho, used, residual, converged = backend.iterate_until(
+    rho, used, residual, converged = iterate_until(
         kraus, qmath.projector([1, 0]), 1e-14, 50
     )
     assert not converged
@@ -116,23 +79,21 @@ def test_iterate_until_reports_failure(backend, rng):
     assert residual > 1e-14
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_iterate_to_target_zero_iterations(backend):
+def test_iterate_to_target_zero_iterations():
     kraus = damping_kraus(0.3)
     target = np.diag([1.0, 0.0]).astype(complex)
-    rho, used, dist, converged = backend.iterate_to_target(
+    rho, used, dist, converged = iterate_to_target(
         kraus, target, target, 1e-12, 100
     )
     assert converged and used == 0 and dist <= 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_iterate_to_target_counts_steps(backend):
+def test_iterate_to_target_counts_steps():
     gamma = 0.5
     kraus = damping_kraus(gamma)
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     target = np.diag([1.0, 0.0]).astype(complex)
-    rho, used, dist, converged = backend.iterate_to_target(
+    rho, used, dist, converged = iterate_to_target(
         kraus, rho0, target, 1e-3, 100
     )
     # distance after k steps is exactly 2 * (1-gamma)^k = 2^(1-k); the first
@@ -141,10 +102,81 @@ def test_iterate_to_target_counts_steps(backend):
     assert np.isclose(dist, 2.0 * 0.5**11, atol=1e-15)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_kernels_preserve_trace_and_positivity(backend, rng):
+def exact_loop(kraus, rho0, tol, max_iter, target=None):
+    """Reference iteration: the exact eigvalsh trace norm at every step.
+
+    Measures the step-to-step residual, or the distance to ``target`` when
+    one is given (then a state already within tol takes zero steps).
+    """
+    def norm(x):
+        return float(np.abs(np.linalg.eigvalsh(x)).sum())
+
+    rho = np.array(rho0, dtype=complex)
+    value = np.inf
+    if target is not None:
+        value = norm(rho - target)
+        if value <= tol:
+            return rho, 0, value, True
+    for k in range(1, max_iter + 1):
+        nxt = apply_kraus(kraus, rho)
+        value = norm(nxt - (rho if target is None else target))
+        rho = nxt
+        if value <= tol:
+            return rho, k, value, True
+    return rho, max_iter, value, False
+
+
+def assert_same_outcome(got, want):
+    """Same state, collision count and flag; residuals within 1e-15."""
+    assert (got[1], got[3]) == (want[1], want[3])
+    assert got[2] == pytest.approx(want[2], abs=1e-15)
+    assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("dim,n_ops", [(2, 2), (4, 3), (8, 4), (16, 2)])
+def test_screened_iteration_matches_exact_loop(dim, n_ops, rng):
+    kraus = random_kraus(dim, n_ops, rng)
+    rho0 = qmath.random_density(dim, rng)
+    for max_iter in (0, 3, 5000):
+        want = exact_loop(kraus, rho0, 1e-9, max_iter)
+        assert_same_outcome(iterate_until(kraus, rho0, 1e-9, max_iter), want)
+    assert want[3], "the random channel should relax within 5000 collisions"
+    target = want[0]
+    for tol, max_iter in ((1e-6, 5000), (1e-6, 2), (1e-12, 0)):
+        want = exact_loop(kraus, rho0, tol, max_iter, target)
+        got = iterate_to_target(kraus, rho0, target, tol, max_iter)
+        assert_same_outcome(got, want)
+
+
+def test_screened_iteration_matches_exact_loop_without_convergence(rng):
+    # a unitary channel never settles: every step is screened out and the
+    # reported residual is still the exact trace norm of the last step
+    kraus = np.ascontiguousarray(qmath.random_unitary(2, rng)[None, :, :])
+    rho0 = qmath.projector([1, 0])
+    want = exact_loop(kraus, rho0, 1e-14, 50)
+    assert not want[3]
+    assert_same_outcome(iterate_until(kraus, rho0, 1e-14, 50), want)
+    target = np.eye(2, dtype=complex) / 2
+    want = exact_loop(kraus, rho0, 1e-3, 50, target)
+    assert not want[3]
+    assert_same_outcome(iterate_to_target(kraus, rho0, target, 1e-3, 50), want)
+
+
+def test_nan_state_never_converges():
+    # a NaN Frobenius norm falls through to the exact check, which is NaN
+    kraus = damping_kraus(0.4)
+    nan_state = np.full((2, 2), np.nan, dtype=complex)
+    _, used, residual, converged = iterate_until(kraus, nan_state, 1e-9, 4)
+    assert (used, converged) == (4, False) and np.isnan(residual)
+    target = np.eye(2, dtype=complex) / 2
+    _, used, dist, converged = iterate_to_target(kraus, nan_state, target,
+                                                 1e-9, 4)
+    assert (used, converged) == (4, False) and np.isnan(dist)
+
+
+def test_kernels_preserve_trace_and_positivity(rng):
     kraus = random_kraus(4, 3, rng)
     rho = qmath.random_density(4, rng)
-    out = backend.apply_kraus(kraus, rho)
+    out = apply_kraus(kraus, rho)
     assert np.isclose(out.trace(), 1.0, atol=1e-12)
     assert qmath.validate_density(out).passed

@@ -175,8 +175,9 @@ def test_initial_state_matrix_dimension_checked():
 
 def test_run_scenario_override_validation():
     cfg = parse_config(swap_chain_raw())
-    with pytest.raises(ConfigError):
-        run_scenario(cfg, tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            run_scenario(cfg, tol=tol)
     with pytest.raises(ConfigError):
         run_scenario(cfg, max_iter=0)
 
