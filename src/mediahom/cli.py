@@ -13,6 +13,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigError, load_config
 from .errors import CapacityError, ConvergenceError
 from .scenario import emit_csv, run_scenario, sweep
@@ -80,7 +82,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, CapacityError, OSError) as exc:
+    # ConfigError is a ValueError, so it must be caught first; any other
+    # ValueError or LinAlgError is a numerical failure of the computation
+    except (ConvergenceError, CapacityError, OSError, ValueError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

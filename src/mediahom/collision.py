@@ -127,7 +127,7 @@ class CollisionChannel:
         defect = np.abs(
             unitary.conj().T @ unitary - np.eye(joint_dim)
         ).max()
-        if defect > UNITARITY_ATOL:
+        if not defect <= UNITARITY_ATOL:
             raise ValueError(
                 f"joint matrix is not unitary: defect {defect:.3e} "
                 f"exceeds {UNITARITY_ATOL:.0e}"
@@ -144,7 +144,7 @@ class CollisionChannel:
             np.einsum("kji,kjl->il", self._kraus.conj(), self._kraus)
             - np.eye(self.system_dim)
         ).max()
-        if completeness > KRAUS_COMPLETENESS_ATOL:
+        if not completeness <= KRAUS_COMPLETENESS_ATOL:
             raise ValueError(
                 f"Kraus completeness defect {completeness:.3e} exceeds "
                 f"{KRAUS_COMPLETENESS_ATOL:.0e}"

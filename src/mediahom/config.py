@@ -356,7 +356,7 @@ def parse_config(raw):
             f"tolerances.iterate_tol: must be positive and finite, got {iterate_tol!r}"
         )
     max_iter = tolerances.get("max_iter", DEFAULT_MAX_ITER)
-    if not isinstance(max_iter, int) or max_iter < 1:
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
         raise ConfigError(f"tolerances.max_iter: must be a positive integer, got {max_iter!r}")
     peripheral_tol = tolerances.get("peripheral_tol", PERIPHERAL_ATOL)
     if not _is_finite_number(peripheral_tol) or peripheral_tol <= 0:

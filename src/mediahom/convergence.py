@@ -27,6 +27,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .tolerances import (
+    BLOCK_SPLIT_RTOL,
     DEFAULT_ITERATE_TOL,
     DEFAULT_MAX_ITER,
     DEGENERACY_ATOL,
@@ -59,18 +60,70 @@ class ConvergenceReport:
     residual: float
 
 
-def _extract_fixed_point(sop, vals, vecs):
-    """Fixed point from a precomputed superoperator eigendecomposition.
+def _eig_by_blocks(matrix):
+    """Eigenvalues of ``matrix`` and a lookup of their right eigenvectors.
 
-    Selects the eigenvalue closest to 1 (erroring if that cluster is
-    degenerate), Hermitian-symmetrizes its eigenvector, trace-normalizes,
-    and validates positivity and the self-consistency residual.  Positivity
-    failures are surfaced, never repaired.
+    A conserved charge, such as the magnetization of an XXZ or swap network
+    with diagonal baths, makes a superoperator block diagonal up to a
+    permutation of its basis.  The blocks are the weakly connected
+    components of the graph that links ``i`` and ``j`` wherever ``|S_ij|``
+    exceeds ``BLOCK_SPLIT_RTOL * max|S|``, and each block is
+    eigendecomposed on its own.  Returns ``(vals, eigenvector)``: ``vals``
+    concatenates the blocks' eigenvalues and ``eigenvector(k)`` is the
+    full-length right eigenvector of ``vals[k]``, zero outside its block.
     """
-    near_one = np.flatnonzero(np.abs(vals - 1.0) <= DEGENERACY_ATOL)
+    matrix = np.asarray(matrix)
+    n = matrix.shape[0]
+    mags = np.abs(matrix)
+    scale = mags.max(initial=0.0)
+    blocks = []
+    # a non-finite matrix is not split: it goes whole to eig, which rejects it
+    if np.isfinite(scale):
+        linked = mags > BLOCK_SPLIT_RTOL * scale
+        linked = linked | linked.T
+        unplaced = np.ones(n, dtype=bool)
+        while unplaced.any():
+            block = np.zeros(n, dtype=bool)
+            block[np.argmax(unplaced)] = True
+            frontier = block.copy()
+            while frontier.any():
+                frontier = linked[frontier].any(axis=0) & ~block
+                block |= frontier
+            unplaced &= ~block
+            blocks.append(np.flatnonzero(block))
+    del mags  # not needed during the eigendecompositions
+    if len(blocks) <= 1:
+        vals, vecs = np.linalg.eig(matrix)
+        return vals, lambda k: vecs[:, k]
+
+    parts = [np.linalg.eig(matrix[np.ix_(b, b)]) for b in blocks]
+    vals = np.concatenate([block_vals for block_vals, _ in parts])
+    sizes = [b.size for b in blocks]
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    start = np.cumsum([0] + sizes)
+
+    def eigenvector(k):
+        i = owner[k]
+        vec = np.zeros(n, dtype=complex)
+        vec[blocks[i]] = parts[i][1][:, k - start[i]]
+        return vec
+
+    return vals, eigenvector
+
+
+def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
+    """Fixed point from a precomputed superoperator spectrum.
+
+    ``eigenvector(k)`` returns the right eigenvector of ``vals[k]``.
+    Selects the eigenvalue within ``tol`` of 1 (erroring if that cluster is
+    degenerate), Hermitian-symmetrizes its eigenvector, trace-normalizes,
+    and validates positivity and the self-consistency residual under the
+    full superoperator.  Positivity failures are surfaced, never repaired.
+    """
+    near_one = np.flatnonzero(np.abs(vals - 1.0) <= tol)
     if near_one.size > 1:
         raise DegenerateFixedPointError(
-            f"{near_one.size} eigenvalues lie within {DEGENERACY_ATOL:.0e} "
+            f"{near_one.size} eigenvalues lie within {tol:.0e} "
             "of 1; the fixed point is not unique"
         )
     if near_one.size == 0:
@@ -78,7 +131,7 @@ def _extract_fixed_point(sop, vals, vecs):
             "no eigenvalue within tolerance of 1; the map does not preserve "
             "the trace"
         )
-    candidate = unvectorize(vecs[:, near_one[0]], sop.dim)
+    candidate = unvectorize(eigenvector(near_one[0]), sop.dim)
     candidate = (candidate + candidate.conj().T) / 2.0
     trace = candidate.trace().real
     if abs(trace) < 1e-12:
@@ -103,8 +156,7 @@ def _extract_fixed_point(sop, vals, vecs):
 
 def spectral_fixed_point(sop):
     """The unique stationary state of a channel, by eigendecomposition."""
-    vals, vecs = np.linalg.eig(sop.matrix)
-    rho, _ = _extract_fixed_point(sop, vals, vecs)
+    rho, _ = _extract_fixed_point(sop, *_eig_by_blocks(sop.matrix))
     return rho
 
 
@@ -112,9 +164,12 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     """Spectral relaxedness verdict; never raises, the report explains.
 
     Relaxing iff exactly one eigenvalue has modulus within ``tol`` of the
-    unit circle (that one is the trace-preservation eigenvalue 1).
+    unit circle (that one is the trace-preservation eigenvalue 1).  The
+    same ``tol`` decides whether that eigenvalue is simple.  The spectrum
+    is computed block by block when the superoperator splits into
+    independent blocks (see :func:`_eig_by_blocks`).
     """
-    vals, vecs = np.linalg.eig(sop.matrix)
+    vals, eigenvector = _eig_by_blocks(sop.matrix)
     mods = np.sort(np.abs(vals))[::-1]
     peripheral = int(np.count_nonzero(mods > 1.0 - tol))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
@@ -135,7 +190,7 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
             iterations_used=0, residual=float("inf"),
         )
     try:
-        rho, residual = _extract_fixed_point(sop, vals, vecs)
+        rho, residual = _extract_fixed_point(sop, vals, eigenvector, tol)
     except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
         return ConvergenceReport(
             relaxing=False,

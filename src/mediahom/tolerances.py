@@ -7,6 +7,8 @@ operators at 1e-10, and reconstruction / oracle comparisons at 1e-8 to
 1e-9.
 """
 
+import sys
+
 # Structural validation of operators and states.
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -29,6 +31,12 @@ PERIPHERAL_ATOL = 1e-8      # |lambda| within this of the unit circle
 DEGENERACY_ATOL = 1e-8      # eigenvalues within this of 1 count as the same
 FIXED_POINT_RESIDUAL_ATOL = 1e-8
 FIXED_POINT_PSD_ATOL = 1e-8
+# Superoperator entries at or below this multiple of the largest entry's
+# modulus are treated as zero when splitting the matrix into independent
+# blocks before its eigendecomposition.  Each dropped entry is then smaller
+# than the round-off LAPACK's eig already commits on the whole matrix (a
+# backward error of about n * eps * ||S||).
+BLOCK_SPLIT_RTOL = 64 * sys.float_info.epsilon
 
 # Eigenspace grouping and factorized-eigenvector counting.
 EIGENSPACE_GROUP_ATOL = 1e-8

@@ -26,6 +26,16 @@ def write_config(tmp_path, name="scenario.json", **overrides):
     return path
 
 
+def run_module(module, *args):
+    """``python -m <module> <args>`` in a subprocess that imports src/."""
+    src = os.path.dirname(os.path.dirname(mediahom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def read_body(path):
     """CSV lines without the volatile comment header."""
     return [l for l in path.read_text().splitlines() if not l.startswith("# ")]
@@ -134,15 +144,27 @@ def test_non_finite_number_exits_2(tmp_path, overrides, field):
     # json writes and reads NaN / Infinity; they must be refused as config
     # errors, not fail later inside an eigensolver
     cfg = write_config(tmp_path, **overrides)
-    src = os.path.dirname(os.path.dirname(mediahom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "mediahom.cli", "run", "--config", str(cfg)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_module("mediahom.cli", "run", "--config", str(cfg))
     assert proc.returncode == 2
     assert f"config error: {field}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_channel_exits_1(tmp_path):
+    # a finite but huge t overflows the unitary's phases to NaN; the
+    # channel refuses it and the CLI reports a computation failure
+    cfg = write_config(tmp_path, t=1e308)
+    proc = run_module("mediahom.cli", "run", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "error: joint matrix is not unitary: defect nan" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_python_m_mediahom(tmp_path):
+    cfg = write_config(tmp_path)
+    proc = run_module("mediahom", "check", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"ok: {cfg} (digest ")
 
 
 def test_computation_failure_exits_1(tmp_path, capsys):

@@ -273,6 +273,8 @@ def test_channel_construction_errors(rng):
     with pytest.raises(ValueError):
         CollisionChannel(np.eye(4) * 2.0, ZERO, (2,), 1.0)  # not unitary
     with pytest.raises(ValueError):
+        CollisionChannel(np.full((4, 4), np.nan), ZERO, (2,), 1.0)  # NaN defect
+    with pytest.raises(ValueError):
         CollisionChannel(SWAP2, np.diag([2.0, -1.0]), (2,), 1.0)  # bad state
     with pytest.raises(ShapeError):
         CollisionChannel(SWAP2, ZERO, (3,), 1.0)  # dims mismatch the state

@@ -142,6 +142,7 @@ def test_error_messages_name_the_field():
         (base_raw(tolerances={"iterate_tol": inf}), "tolerances.iterate_tol"),
         (base_raw(tolerances={"iterate_tol": nan}), "tolerances.iterate_tol"),
         (base_raw(tolerances={"max_iter": inf}), "tolerances.max_iter"),
+        (base_raw(tolerances={"max_iter": True}), "tolerances.max_iter"),
         (base_raw(tolerances={"peripheral_tol": nan}), "tolerances.peripheral_tol"),
         (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),

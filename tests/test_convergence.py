@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from mediahom import collision, convergence, network, qmath
 from mediahom.collision import CollisionChannel, Superoperator, build_channel
+from mediahom.config import parse_config
 from mediahom.convergence import (
     check_invariance,
     entropy_ratio,
@@ -22,6 +25,8 @@ from mediahom.errors import (
     ShapeError,
     UndefinedRatioError,
 )
+from mediahom.scenario import build_scenario_channel
+from mediahom.tolerances import BLOCK_SPLIT_RTOL, PERIPHERAL_ATOL
 
 SWAP2 = network.swap_operator([2, 2], 0, 1)
 
@@ -97,6 +102,102 @@ def test_is_relaxing_non_channel_matrix():
     assert not report.relaxing
     assert report.peripheral_count == 0
     assert "not a trace-preserving channel" in report.reason
+
+
+def test_peripheral_tol_reaches_the_degeneracy_check():
+    # 1 - 1e-10 is inside the default 1e-8 but outside tol=1e-12, so the
+    # fixed point is unique at that tolerance
+    sop = Superoperator(dim=2, matrix=np.diag([1.0, 0.5, 0.5, 1.0 - 1e-10]))
+    report = is_relaxing(sop, tol=1e-12)
+    assert report.relaxing, report.reason
+    assert report.peripheral_count == 1
+    assert np.abs(report.fixed_point - np.diag([1.0, 0.0])).max() < 1e-15
+    assert is_relaxing(sop).peripheral_count == 2
+
+
+def scenario_sop(**raw):
+    raw = {"couplings": {"chain": 1.0}, "t": 0.5, "initial_state": "ground",
+           "analysis": "fixed_point", **raw}
+    return build_scenario_channel(parse_config(raw)).superoperator()
+
+
+# Magnetization is conserved by the first two (XXZ or swap couplings with
+# diagonal baths), so their superoperators split; the coherent "minus" bath
+# couples every coherence number, leaving one block.
+BLOCK_CASES = {
+    "xxz_two_diagonal_baths": (dict(
+        model="xxz", sites=4, delta=0.7,
+        baths=[{"site": 3, "state": {"diag": 0.9}},
+               {"site": 0, "state": {"diag": 0.4}}],
+    ), True),
+    "swap_chain": (dict(
+        model="swap", sites=3, baths=[{"site": 2, "state": {"diag": 0.7}}],
+    ), True),
+    "xxz_minus_bath": (dict(
+        model="xxz", sites=4, delta=1.0, baths=[{"site": 3, "state": "minus"}],
+    ), False),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_spectrum_matches_dense_oracle(case):
+    raw, splits = BLOCK_CASES[case]
+    sop = scenario_sop(**raw)
+    vals, eigenvector = convergence._eig_by_blocks(sop.matrix)
+    dense_vals, dense_vecs = np.linalg.eig(sop.matrix)
+
+    # the same eigenvalue multiset, paired by a minimum-distance matching
+    dist = np.abs(vals[:, None] - dense_vals[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert vals.shape == dense_vals.shape
+    assert dist[rows, cols].max() < 1e-12
+
+    # block structure, found independently of the code under test
+    linked = np.abs(sop.matrix) > BLOCK_SPLIT_RTOL * np.abs(sop.matrix).max()
+    n_blocks, labels = connected_components(
+        linked, directed=True, connection="weak"
+    )
+    assert (n_blocks > 1) == splits
+    if splits:
+        for k in range(vals.size):
+            assert np.unique(labels[np.flatnonzero(eigenvector(k))]).size == 1
+
+    report = is_relaxing(sop)
+    assert report.relaxing
+    dense_mods = np.sort(np.abs(dense_vals))[::-1]
+    assert report.peripheral_count == np.count_nonzero(
+        dense_mods > 1.0 - PERIPHERAL_ATOL
+    )
+    assert abs(report.spectral_gap - (1.0 - dense_mods[1])) < 1e-12
+    dense_rho, _ = convergence._extract_fixed_point(
+        sop, dense_vals, lambda k: dense_vecs[:, k]
+    )
+    assert np.abs(report.fixed_point - dense_rho).max() < 1e-12
+    assert np.abs(spectral_fixed_point(sop) - dense_rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_identity_channel_counts_every_singleton_block(dim):
+    sop = Superoperator(dim=dim, matrix=np.eye(dim * dim, dtype=complex))
+    vals, eigenvector = convergence._eig_by_blocks(sop.matrix)
+    assert np.array_equal(vals, np.ones(dim * dim))
+    assert np.count_nonzero(eigenvector(dim)) == 1
+    report = is_relaxing(sop)
+    assert not report.relaxing
+    assert report.peripheral_count == dim * dim
+
+
+def test_non_finite_superoperator_raises():
+    # a NaN off the diagonal would leave only finite singleton blocks if it
+    # were split like a finite matrix; it must reach eig and be refused
+    off_diagonal = np.eye(4, dtype=complex)
+    off_diagonal[0, 3] = np.nan
+    for matrix in (off_diagonal, np.full((4, 4), np.inf, dtype=complex)):
+        sop = Superoperator(dim=2, matrix=matrix)
+        with pytest.raises(np.linalg.LinAlgError):
+            is_relaxing(sop)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_fixed_point(sop)
 
 
 def test_iteration_count_matches_decay_rate():
