@@ -20,6 +20,7 @@ from .collision import (
     build_two_bath_channel,
     direct_apply,
     imperfect_controller_sequence,
+    joint_unitary,
     unvectorize,
     vectorize,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "build_two_bath_channel",
     "direct_apply",
     "imperfect_controller_sequence",
+    "joint_unitary",
     "vectorize",
     "unvectorize",
     "ScenarioConfig",

@@ -18,9 +18,14 @@ def backend_name() -> str:
     return "numpy"
 
 
-def hermitian_trace_norm(a: np.ndarray) -> float:
-    """||A||_1 for Hermitian A, as the sum of |eigenvalues|."""
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
+def hermitian_trace_norm(a: np.ndarray):
+    """||A||_1 for Hermitian A, as the sum of |eigenvalues|.
+
+    A stack of shape (n, D, D) gives the array of its n norms, from one
+    batched ``eigvalsh`` that reproduces the one-matrix norms exactly.
+    """
+    norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    return norms if norms.ndim else float(norms)
 
 
 def _screened_norm(diff: np.ndarray, tol: float) -> float:

@@ -68,30 +68,115 @@ class ControllerSequence:
     p_min: float | None = None
 
     def __post_init__(self):
-        qmath.ensure_density(self.base_state)
+        base = qmath.ensure_density(self.base_state)
         floor = self.p_min if self.p_min is not None else min(
             (p for p, _ in self.steps), default=1.0
         )
-        if floor <= 0.0:
+        if not floor > 0.0:
             raise ValueError(f"p_min must be positive, got {floor}")
         object.__setattr__(self, "p_min", float(floor))
-        for idx, (p, state) in enumerate(self.steps):
-            if not floor <= p <= 1.0:
-                raise ValueError(
-                    f"step {idx}: weight {p} outside [{floor}, 1]"
+        weights = self._weights()
+        outside = np.flatnonzero(~((floor <= weights) & (weights <= 1.0)))
+        if outside.size:
+            idx = int(outside[0])
+            raise ValueError(
+                f"step {idx}: weight {self.steps[idx][0]} outside [{floor}, 1]"
+            )
+        for idx, (_, state) in enumerate(self.steps):
+            if np.shape(state) != base.shape:
+                raise ShapeError(
+                    f"step {idx}: state has shape {np.shape(state)}, the base "
+                    f"state {base.shape}"
                 )
-            qmath.ensure_density(state)
+        qmath.ensure_densities(self._perturbations(), what="step")
 
     def __len__(self):
         return len(self.steps)
 
+    def _weights(self):
+        return np.array([p for p, _ in self.steps], dtype=float)
+
+    def _perturbations(self):
+        dim = np.shape(self.base_state)[0]
+        return np.array(
+            [state for _, state in self.steps], dtype=complex
+        ).reshape(len(self.steps), dim, dim)
+
     def ancilla_states(self):
-        """The mixed ancilla state actually prepared at each step."""
+        """The mixed ancilla state actually prepared at each step, stacked."""
         omega = np.asarray(self.base_state, dtype=complex)
-        return [
-            p * omega + (1.0 - p) * np.asarray(state, dtype=complex)
-            for p, state in self.steps
-        ]
+        weights = self._weights()[:, None, None]
+        return weights * omega + (1.0 - weights) * self._perturbations()
+
+
+def _checked_unitary(joint_unitary):
+    """``joint_unitary`` as a complex square array, refused unless unitary."""
+    unitary = qmath._as_square(joint_unitary, "joint unitary")
+    defect = np.abs(
+        unitary.conj().T @ unitary - np.eye(unitary.shape[0])
+    ).max()
+    if not defect <= UNITARITY_ATOL:
+        raise ValueError(
+            f"joint matrix is not unitary: defect {defect:.3e} "
+            f"exceeds {UNITARITY_ATOL:.0e}"
+        )
+    return unitary
+
+
+def _build_kraus(unitary, omegas, ancilla_dims):
+    """Kraus stacks of the collisions of ``n`` ancilla states on one unitary.
+
+    ``omegas`` stacks the states, shape ``(n, anc, anc)``; ``unitary`` is
+    the joint matrix shared by every collision, already checked.  Each
+    state is validated, eigendecomposed as ``sum_k mu_k |chi_k><chi_k|``
+    and dilated into the operators ``sqrt(mu_k) (I (x) <j|) U (I (x)
+    |chi_k>)``, ordered by ``k`` then ``j``.  Returns the validated states
+    and one contiguous ``(rank, D, D)`` stack per state; ranks may differ.
+    """
+    omegas = qmath.ensure_densities(omegas, what="ancilla state")
+    n, anc = omegas.shape[0], omegas.shape[1]
+    if anc != int(np.prod(ancilla_dims)):
+        raise ShapeError(
+            f"ancilla state dim {anc} does not match ancilla factors "
+            f"{tuple(ancilla_dims)}"
+        )
+    joint_dim = unitary.shape[0]
+    if joint_dim % anc:
+        raise ShapeError(
+            f"joint dim {joint_dim} not divisible by ancilla dim {anc}"
+        )
+    d = joint_dim // anc
+    weights, vecs = np.linalg.eigh(omegas)
+    # U (I (x) |chi_k>) for every state and eigenvector, as one batch of
+    # matrix-vector products: the same kernel as one product at a time, so
+    # the stacks do not depend on n (a matrix-matrix product rounds
+    # differently).  The operators' axes are (state, k, j, out, in).
+    columns = unitary.reshape(d * anc * d, anc) @ vecs.swapaxes(1, 2)[..., None]
+    ops = columns.reshape(n, anc, d, anc, d).transpose(0, 1, 3, 2, 4).reshape(
+        n, anc * anc, d, d
+    )
+    # weights below the cutoff contribute nothing at working precision
+    kept = ~(weights < _KRAUS_WEIGHT_CUTOFF)
+    ops *= np.repeat(np.sqrt(np.where(kept, weights, 0.0)), anc, axis=1)[
+        :, :, None, None
+    ]
+    # identically-zero operators (common when U maps the ancilla input
+    # onto few outputs) add nothing to the sum either
+    norms = (np.einsum("nkij,nkij->nk", ops.real, ops.real)
+             + np.einsum("nkij,nkij->nk", ops.imag, ops.imag))
+    used = np.repeat(kept, anc, axis=1) & ~(norms < _KRAUS_WEIGHT_CUTOFF**2)
+    ops[~used] = 0.0
+    completeness = np.abs(
+        np.einsum("nkji,nkjl->nil", ops.conj(), ops) - np.eye(d)
+    ).max(axis=(1, 2))
+    failed = np.flatnonzero(~(completeness <= KRAUS_COMPLETENESS_ATOL))
+    if failed.size:
+        idx = int(failed[0])
+        raise ValueError(
+            f"Kraus completeness defect {completeness[idx]:.3e} exceeds "
+            f"{KRAUS_COMPLETENESS_ATOL:.0e} for ancilla state {idx}"
+        )
+    return omegas, [op[mask] for op, mask in zip(ops, used)]
 
 
 class CollisionChannel:
@@ -104,70 +189,46 @@ class CollisionChannel:
 
     def __init__(self, joint_unitary, ancilla_state, ancilla_dims,
                  interaction_time):
-        unitary = np.asarray(joint_unitary, dtype=complex)
-        if unitary.ndim != 2 or unitary.shape[0] != unitary.shape[1]:
-            raise ShapeError(f"joint unitary must be square, got {unitary.shape}")
-        omega = qmath.ensure_density(ancilla_state)
-        ancilla_dims = tuple(int(d) for d in ancilla_dims)
-        anc_dim = int(np.prod(ancilla_dims))
-        if omega.shape[0] != anc_dim:
-            raise ShapeError(
-                f"ancilla state dim {omega.shape[0]} does not match "
-                f"ancilla factors {ancilla_dims}"
-            )
-        joint_dim = unitary.shape[0]
-        if joint_dim % anc_dim:
-            raise ShapeError(
-                f"joint dim {joint_dim} not divisible by ancilla dim {anc_dim}"
-            )
-        if interaction_time < 0:
+        unitary = _checked_unitary(joint_unitary)
+        omegas, (kraus,) = _build_kraus(unitary, [ancilla_state], ancilla_dims)
+        self._adopt(unitary, omegas[0], ancilla_dims, interaction_time, kraus)
+
+    @classmethod
+    def from_unitary(cls, joint_unitary, ancilla_state, ancilla_dims,
+                     interaction_time):
+        """The channel of a joint unitary that was already checked.
+
+        Does every check of the constructor except the unitarity check,
+        for a ``joint_unitary`` that comes from :func:`joint_unitary`.
+        """
+        (channel,) = cls._sharing(
+            qmath._as_square(joint_unitary, "joint unitary"), [ancilla_state],
+            ancilla_dims, interaction_time,
+        )
+        return channel
+
+    @classmethod
+    def _sharing(cls, unitary, ancilla_states, ancilla_dims, interaction_time):
+        """One channel per ancilla state, all on one checked unitary."""
+        omegas, stacks = _build_kraus(unitary, ancilla_states, ancilla_dims)
+        channels = []
+        for omega, kraus in zip(omegas, stacks):
+            channel = cls.__new__(cls)
+            channel._adopt(unitary, omega, ancilla_dims, interaction_time, kraus)
+            channels.append(channel)
+        return channels
+
+    def _adopt(self, unitary, omega, ancilla_dims, interaction_time, kraus):
+        if not interaction_time >= 0:
             raise ValueError(
                 f"interaction time must be non-negative, got {interaction_time}"
             )
-        defect = np.abs(
-            unitary.conj().T @ unitary - np.eye(joint_dim)
-        ).max()
-        if not defect <= UNITARITY_ATOL:
-            raise ValueError(
-                f"joint matrix is not unitary: defect {defect:.3e} "
-                f"exceeds {UNITARITY_ATOL:.0e}"
-            )
-
-        self.system_dim = joint_dim // anc_dim
-        self.ancilla_dims = ancilla_dims
+        self.system_dim = unitary.shape[0] // omega.shape[0]
+        self.ancilla_dims = tuple(int(d) for d in ancilla_dims)
         self.joint_unitary = unitary
         self.ancilla_state = omega
         self.interaction_time = float(interaction_time)
-        self._kraus = self._build_kraus()
-
-        completeness = np.abs(
-            np.einsum("kji,kjl->il", self._kraus.conj(), self._kraus)
-            - np.eye(self.system_dim)
-        ).max()
-        if not completeness <= KRAUS_COMPLETENESS_ATOL:
-            raise ValueError(
-                f"Kraus completeness defect {completeness:.3e} exceeds "
-                f"{KRAUS_COMPLETENESS_ATOL:.0e}"
-            )
-
-    def _build_kraus(self):
-        d, anc = self.system_dim, self.ancilla_state.shape[0]
-        weights, vecs = qmath.hermitian_eig(self.ancilla_state)
-        u4 = self.joint_unitary.reshape(d, anc, d, anc)
-        kraus = []
-        for mu, chi in zip(weights, vecs.T):
-            if mu < _KRAUS_WEIGHT_CUTOFF:
-                continue
-            # (I (x) <j|) U (I (x) |chi>) for every ancilla basis bra <j|
-            block = np.tensordot(u4, chi, axes=([3], [0]))  # (d, anc, d)
-            for j in range(anc):
-                op = np.sqrt(mu) * block[:, j, :]
-                # identically-zero operators (common when U maps the
-                # ancilla input onto few outputs) add nothing to the sum
-                if np.vdot(op, op).real < _KRAUS_WEIGHT_CUTOFF**2:
-                    continue
-                kraus.append(op)
-        return np.ascontiguousarray(np.stack(kraus))
+        self._kraus = kraus
 
     def kraus_operators(self):
         """Kraus stack, shape ``(n_kraus, D, D)``; ``sum K rho K^dag`` = apply."""
@@ -183,12 +244,13 @@ class CollisionChannel:
             )
         out = apply_kraus(self._kraus, rho)
         trace_defect = abs(out.trace() - rho.trace())
-        if trace_defect > TRACE_ATOL:
+        if not trace_defect <= TRACE_ATOL:
             raise ValueError(
                 f"collision changed the trace by {trace_defect:.3e}"
             )
+        # inputs off unit trace (differences of states) are not states
         report = qmath.validate_density(out, 1e-8)
-        if abs(rho.trace() - 1.0) <= 1e-8 and not report.passed:
+        if not abs(rho.trace() - 1.0) > 1e-8 and not report.passed:
             raise ValueError(f"collision output invalid: {report.describe()}")
         return out
 
@@ -222,6 +284,58 @@ class CollisionChannel:
         return Superoperator(dim=d, matrix=mat)
 
 
+def joint_unitary(system_hamiltonian, interaction_terms, t,
+                  mode="simultaneous"):
+    """The collision unitary ``exp(-i (H_A (x) I + sum_b H_b) t)``, checked.
+
+    Every interaction term lives on the joint space, whose dimension sets
+    the identity that ``H_A`` is tensored with.  ``mode="alternating"``
+    instead composes one collision per term, ``U_last ... U_first`` with
+    ``U_b = exp(-i (H_A (x) I + H_b) t)``.  Without terms the unitary is
+    ``exp(-i H_A t)``.  The result is checked for unitarity, so it can go
+    straight to :meth:`CollisionChannel.from_unitary`.
+    """
+    h_sys = qmath._as_square(system_hamiltonian, "system Hamiltonian")
+    terms = [qmath._as_square(h, "interaction term") for h in interaction_terms]
+    d = h_sys.shape[0]
+    joint_dim = terms[0].shape[0] if terms else d
+    for b, term in enumerate(terms):
+        if term.shape[0] != joint_dim or joint_dim % d:
+            raise ShapeError(
+                f"interaction term {b} has dim {term.shape[0]}; every term "
+                f"needs one joint dim that is a multiple of {d}"
+            )
+    if not t >= 0:
+        raise ValueError(f"interaction time must be non-negative, got {t}")
+    if mode not in ("simultaneous", "alternating"):
+        raise ValueError(
+            f"mode must be 'simultaneous' or 'alternating', got {mode!r}"
+        )
+    if not terms:
+        return _checked_unitary(qmath.unitary_from_hamiltonian(h_sys, t))
+    h_free = np.kron(h_sys, np.eye(joint_dim // d))
+    if mode == "alternating" and len(terms) > 1:
+        unitary = np.eye(joint_dim, dtype=complex)
+        for term in terms:
+            unitary = qmath.unitary_from_hamiltonian(h_free + term, t) @ unitary
+    else:
+        unitary = qmath.unitary_from_hamiltonian(h_free + sum(terms), t)
+    return _checked_unitary(unitary)
+
+
+def _one_ancilla_unitary(system_hamiltonian, interaction_hamiltonian,
+                         ancilla_dim, t):
+    h_sys = qmath._as_square(system_hamiltonian, "system Hamiltonian")
+    h_int = qmath._as_square(interaction_hamiltonian, "interaction term")
+    d = h_sys.shape[0]
+    if h_int.shape[0] != d * ancilla_dim:
+        raise ShapeError(
+            f"interaction term has dim {h_int.shape[0]}, expected "
+            f"{d} * {ancilla_dim} = {d * ancilla_dim}"
+        )
+    return joint_unitary(h_sys, [h_int], t)
+
+
 def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
                   t, ancilla_dims=None):
     """Channel of ``U = exp(-i (H_A + H_I) t)`` with a fresh-ancilla trace-out.
@@ -230,23 +344,14 @@ def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
     ``H_A (x) I``; ``interaction_hamiltonian`` lives on the joint space.
     ``t = 0`` is allowed and yields the identity map.
     """
-    h_sys = qmath._as_square(system_hamiltonian)
-    h_int = qmath._as_square(interaction_hamiltonian)
-    omega = qmath.ensure_density(ancilla_state)
-    d = h_sys.shape[0]
+    omega = qmath._as_square(ancilla_state, "density matrix")
     anc = omega.shape[0]
-    if h_int.shape[0] != d * anc:
-        raise ShapeError(
-            f"interaction term has dim {h_int.shape[0]}, expected "
-            f"{d} * {anc} = {d * anc}"
-        )
-    if t < 0:
-        raise ValueError(f"interaction time must be non-negative, got {t}")
-    h_total = np.kron(h_sys, np.eye(anc)) + h_int
-    unitary = qmath.unitary_from_hamiltonian(h_total, t)
+    unitary = _one_ancilla_unitary(
+        system_hamiltonian, interaction_hamiltonian, anc, t
+    )
     if ancilla_dims is None:
         ancilla_dims = (anc,)
-    return CollisionChannel(unitary, omega, ancilla_dims, t)
+    return CollisionChannel.from_unitary(unitary, omega, ancilla_dims, t)
 
 
 def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
@@ -269,30 +374,16 @@ def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
     d = h_sys.shape[0]
     dim_b, dim_c = omega_b.shape[0], nu_c.shape[0]
     joint = d * dim_b * dim_c
-    for name, term in (("B", interaction_b), ("C", interaction_c)):
-        term = qmath._as_square(term)
+    terms = [qmath._as_square(term) for term in (interaction_b, interaction_c)]
+    for name, term in zip("BC", terms):
         if term.shape[0] != joint:
             raise ShapeError(
                 f"interaction term for bath {name} has dim {term.shape[0]}, "
                 f"expected joint dim {joint}"
             )
-    if t < 0:
-        raise ValueError(f"interaction time must be non-negative, got {t}")
-    h_free = np.kron(h_sys, np.eye(dim_b * dim_c))
-    if mode == "simultaneous":
-        unitary = qmath.unitary_from_hamiltonian(
-            h_free + interaction_b + interaction_c, t
-        )
-    elif mode == "alternating":
-        u_b = qmath.unitary_from_hamiltonian(h_free + interaction_b, t)
-        u_c = qmath.unitary_from_hamiltonian(h_free + interaction_c, t)
-        unitary = u_c @ u_b
-    else:
-        raise ValueError(
-            f"mode must be 'simultaneous' or 'alternating', got {mode!r}"
-        )
+    unitary = joint_unitary(h_sys, terms, t, mode)
     ancilla = qmath.tensor([omega_b, nu_c])
-    return CollisionChannel(unitary, ancilla, (dim_b, dim_c), t)
+    return CollisionChannel.from_unitary(unitary, ancilla, (dim_b, dim_c), t)
 
 
 def direct_apply(joint_unitary, rho, ancilla_state):
@@ -338,9 +429,14 @@ def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,
     Channel ``l`` uses the ancilla state
     ``p_l * base + (1 - p_l) * perturbation_l``; by linearity of the
     collision in the ancilla state it acts as the same convex combination
-    of the pure-``base`` and pure-``perturbation`` channels.
+    of the pure-``base`` and pure-``perturbation`` channels.  Every channel
+    shares one joint unitary, computed and checked once, and the Kraus
+    stacks of all of them come from one batched pass.
     """
-    return [
-        build_channel(system_hamiltonian, interaction_hamiltonian, state, t)
-        for state in sequence.ancilla_states()
-    ]
+    anc = np.shape(sequence.base_state)[0]
+    unitary = _one_ancilla_unitary(
+        system_hamiltonian, interaction_hamiltonian, anc, t
+    )
+    return CollisionChannel._sharing(
+        unitary, sequence.ancilla_states(), (anc,), t
+    )

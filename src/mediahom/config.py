@@ -92,6 +92,11 @@ def _is_finite_number(value):
             and math.isfinite(value))
 
 
+def _is_index(value):
+    """A JSON integer (booleans excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(raw, key, kind, where="config"):
     if key not in raw:
         raise ConfigError(f"{where}: missing required field {key!r}")
@@ -103,7 +108,7 @@ def _require(raw, key, kind, where="config"):
             )
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_index(value):
             raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
         return value
     if not isinstance(value, kind):
@@ -164,14 +169,14 @@ def parse_bath_state(spec, local_dim, where):
     if kind == "diag":
         if local_dim != 2:
             raise ConfigError(f"{where}.diag: requires local_dim 2")
-        if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        if not _is_finite_number(value) or not 0.0 <= value <= 1.0:
             raise ConfigError(f"{where}.diag: weight must be in [0, 1], got {value!r}")
         return np.diag([float(value), 1.0 - float(value)]).astype(complex)
     if kind == "mix":
         if not isinstance(value, list) or len(value) != 3:
             raise ConfigError(f"{where}.mix: expected [weight, state, state]")
         p = value[0]
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        if not _is_finite_number(p) or not 0.0 <= p <= 1.0:
             raise ConfigError(f"{where}.mix: weight must be in [0, 1], got {p!r}")
         first = parse_bath_state(value[1], local_dim, f"{where}.mix[1]")
         second = parse_bath_state(value[2], local_dim, f"{where}.mix[2]")
@@ -205,11 +210,13 @@ def _parse_couplings(raw, sites):
         edges = []
         for i, edge in enumerate(value):
             if (not isinstance(edge, list) or len(edge) != 3
-                    or not all(_is_finite_number(x) for x in edge)):
+                    or not all(_is_index(x) for x in edge[:2])
+                    or not _is_finite_number(edge[2])):
                 raise ConfigError(
-                    f"couplings.edges[{i}]: expected [site, site, coupling]"
+                    f"couplings.edges[{i}]: expected [site, site, coupling] "
+                    f"with integer sites, got {edge!r}"
                 )
-            edges.append((int(edge[0]), int(edge[1]), float(edge[2])))
+            edges.append((edge[0], edge[1], float(edge[2])))
         try:
             return CouplingGraph(sites, tuple(edges))
         except ValueError as exc:
@@ -223,7 +230,7 @@ def _parse_initial_state(spec):
     if isinstance(spec, dict) and len(spec) == 1:
         (kind, value), = spec.items()
         if kind == "random_seed":
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_index(value):
                 raise ConfigError(
                     f"initial_state.random_seed: expected an integer, got {value!r}"
                 )
@@ -241,7 +248,7 @@ def _parse_analysis(spec):
         return spec, None
     if isinstance(spec, dict) and len(spec) == 1 and "trajectory" in spec:
         steps = spec["trajectory"]
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
+        if not _is_index(steps) or steps < 0:
             raise ConfigError(
                 f"analysis.trajectory: expected a step count >= 0, got {steps!r}"
             )
@@ -403,22 +410,34 @@ def load_config(path):
 def set_by_path(raw, path, value):
     """Substitute ``value`` at a dotted ``path`` into a raw config mapping.
 
-    Path segments index objects by key and lists by integer position, e.g.
-    ``"baths.0.state.mix.0"``.  Returns a deep copy; the input is untouched.
+    Path segments index objects by key and lists by non-negative integer
+    position, e.g. ``"baths.0.state.mix.0"``.  Returns a deep copy; the
+    input is untouched.
     """
     updated = json.loads(json.dumps(raw))
     node = updated
     parts = path.split(".")
+
+    def position(seg):
+        if not (seg.isascii() and seg.isdigit()):
+            raise ConfigError(
+                f"sweep.param: path {path!r} indexes a list with {seg!r}; "
+                "list positions are non-negative integers"
+            )
+        return int(seg)
+
     try:
         for seg in parts[:-1]:
-            node = node[int(seg)] if isinstance(node, list) else node[seg]
+            node = node[position(seg)] if isinstance(node, list) else node[seg]
         last = parts[-1]
         if isinstance(node, list):
-            node[int(last)] = value
+            node[position(last)] = value
         else:
             if last not in node:
                 raise KeyError(last)
             node[last] = value
+    except ConfigError:
+        raise
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"sweep.param: path {path!r} not found in config") from exc
     return updated

@@ -140,13 +140,13 @@ def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
         )
     rho = candidate / trace
     min_eig = float(np.linalg.eigvalsh(rho).min())
-    if min_eig < -FIXED_POINT_PSD_ATOL:
+    if not min_eig >= -FIXED_POINT_PSD_ATOL:
         raise FixedPointNumericalError(
             f"symmetrized fixed point has eigenvalue {min_eig:.3e} below "
             f"-{FIXED_POINT_PSD_ATOL:.0e}"
         )
     residual = hermitian_trace_norm(sop.apply(rho) - rho)
-    if residual > FIXED_POINT_RESIDUAL_ATOL:
+    if not residual <= FIXED_POINT_RESIDUAL_ATOL:
         raise FixedPointNumericalError(
             f"fixed-point residual {residual:.3e} exceeds "
             f"{FIXED_POINT_RESIDUAL_ATOL:.0e}"
@@ -329,9 +329,7 @@ def forgetting_metric(channels, rho1, rho2):
         raise ValueError("forgetting metric needs a non-empty sequence")
     traj1 = apply_sequence(channels, rho1)
     traj2 = apply_sequence(channels, rho2)
-    return [
-        float(hermitian_trace_norm(a - b)) for a, b in zip(traj1, traj2)
-    ]
+    return hermitian_trace_norm(np.stack(traj1) - np.stack(traj2)).tolist()
 
 
 def check_invariance(joint_unitary, rho_star, omega, tol=1e-9):

@@ -30,6 +30,7 @@ __all__ = [
     "concurrence",
     "dag",
     "embed",
+    "ensure_densities",
     "ensure_density",
     "hermitian_eig",
     "partial_trace",
@@ -149,7 +150,7 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _as_square(h)
     defect = np.max(np.abs(h - dag(h)))
-    if defect > tol.HERMITICITY_ATOL:
+    if not defect <= tol.HERMITICITY_ATOL:
         raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {tol.HERMITICITY_ATOL})"
         )
@@ -174,6 +175,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return trace_norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
 
+def _density_passes(herm, trace, min_eig, tol_):
+    return (herm <= tol_) & (trace <= tol_) & (min_eig >= -tol_)
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Validation report for a candidate density matrix."""
@@ -185,11 +190,10 @@ class DensityReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.hermiticity_defect <= self.tol
-            and self.trace_defect <= self.tol
-            and self.min_eigenvalue >= -self.tol
-        )
+        return bool(_density_passes(
+            self.hermiticity_defect, self.trace_defect, self.min_eigenvalue,
+            self.tol,
+        ))
 
     def describe(self) -> str:
         state = "pass" if self.passed else "fail"
@@ -200,13 +204,26 @@ class DensityReport:
         )
 
 
+def _density_defects(rhos: np.ndarray):
+    """Hermiticity, trace and least-eigenvalue defects of a matrix or stack.
+
+    A matrix with a NaN or infinite entry gets NaN defects, which fail
+    every check; it never reaches ``eigvalsh``, which may raise on it.
+    """
+    adjoint = rhos.conj().swapaxes(-1, -2)
+    herm = np.abs(rhos - adjoint).max(axis=(-2, -1))
+    trace = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    finite = np.isfinite(rhos).all(axis=(-2, -1))
+    sym = np.where(finite[..., None, None], (rhos + adjoint) / 2, 0.0)
+    min_eig = np.where(finite, np.linalg.eigvalsh(sym).min(axis=-1), np.nan)
+    return herm, trace, min_eig
+
+
 def validate_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> DensityReport:
     """Report Hermiticity, trace and positivity defects; never raises."""
     rho = _as_square(rho, "density matrix")
-    herm = float(np.max(np.abs(rho - dag(rho))))
-    trace = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + dag(rho)) / 2).min())
-    return DensityReport(herm, trace, min_eig, tol_)
+    herm, trace, min_eig = _density_defects(rho)
+    return DensityReport(float(herm), float(trace), float(min_eig), tol_)
 
 
 def ensure_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> np.ndarray:
@@ -216,6 +233,32 @@ def ensure_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> np.ndarray:
     if not report.passed:
         raise ValueError(f"not a valid density matrix ({report.describe()})")
     return rho
+
+
+def ensure_densities(
+    rhos, tol_: float = tol.PSD_ATOL, what: str = "state"
+) -> np.ndarray:
+    """Return a stack of states as one complex ``(n, D, D)`` array.
+
+    The checks of :func:`ensure_density` run batched over the whole stack;
+    the error names the index of the first invalid ``what``.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        raise ShapeError(
+            f"{what}s must stack into shape (n, D, D), got {rhos.shape}"
+        )
+    if not rhos.shape[0]:
+        return rhos
+    defects = _density_defects(rhos)
+    passed = _density_passes(*defects, tol_)
+    if not passed.all():
+        k = int(np.argmin(passed))
+        report = DensityReport(*(float(x[k]) for x in defects), tol_)
+        raise ValueError(
+            f"{what} {k}: not a valid density matrix ({report.describe()})"
+        )
+    return rhos
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
-from .collision import CollisionChannel, build_channel
+from .collision import CollisionChannel, joint_unitary
 from .config import ScenarioConfig, parse_config, set_by_path
 from .errors import (
     ConfigError,
@@ -116,27 +116,17 @@ def build_scenario_channel(cfg):
     """
     spec = cfg.network_spec()
     h_sys = system_hamiltonian(spec)
-    dim = cfg.local_dim ** cfg.sites
     n_baths = len(cfg.baths)
-    if n_baths == 0:
-        unitary = qmath.unitary_from_hamiltonian(h_sys, cfg.t)
-        return CollisionChannel(unitary, np.eye(1), (1,), cfg.t)
     dims = [cfg.local_dim] * (cfg.sites + n_baths)
     terms = [
         interaction_hamiltonian(dims, [(cfg.sites + i, bath.site)])
         for i, bath in enumerate(cfg.baths)
     ]
-    anc_dim = cfg.local_dim ** n_baths
-    h_free = np.kron(h_sys, np.eye(anc_dim))
-    if cfg.two_bath_mode == "alternating" and n_baths > 1:
-        unitary = np.eye(dim * anc_dim, dtype=complex)
-        for term in terms:
-            unitary = qmath.unitary_from_hamiltonian(h_free + term, cfg.t) @ unitary
-    else:
-        unitary = qmath.unitary_from_hamiltonian(h_free + sum(terms), cfg.t)
-    ancilla = qmath.tensor([b.state for b in cfg.baths]) if n_baths > 1 \
-        else cfg.baths[0].state
-    return CollisionChannel(
+    unitary = joint_unitary(h_sys, terms, cfg.t, cfg.two_bath_mode)
+    if n_baths == 0:
+        return CollisionChannel.from_unitary(unitary, np.eye(1), (1,), cfg.t)
+    ancilla = qmath.tensor([b.state for b in cfg.baths])
+    return CollisionChannel.from_unitary(
         unitary, ancilla, (cfg.local_dim,) * n_baths, cfg.t
     )
 

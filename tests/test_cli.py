@@ -150,6 +150,20 @@ def test_non_finite_number_exits_2(tmp_path, overrides, field):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,overrides,field", [
+    ("run", {"couplings": {"edges": [[0, 1, 1.0], [0.9, 1.7, 1.0]]}},
+     "couplings.edges[1]"),
+    ("run", {"baths": [{"site": 2, "state": {"diag": True}}]},
+     "baths[0].state.diag"),
+    ("sweep", {"sweep": {"param": "baths.-1.site", "values": [0]}},
+     "sweep.param"),
+], ids=["float_edge_site", "bool_diag", "negative_path_index"])
+def test_bad_index_exits_2(tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
 def test_non_finite_channel_exits_1(tmp_path):
     # a finite but huge t overflows the unitary's phases to NaN; the
     # channel refuses it and the CLI reports a computation failure

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediahom import collision, network, qmath
 from mediahom.collision import (
@@ -11,6 +13,7 @@ from mediahom.collision import (
     build_two_bath_channel,
     direct_apply,
     imperfect_controller_sequence,
+    joint_unitary,
     unvectorize,
     vectorize,
 )
@@ -208,6 +211,104 @@ def test_imperfect_channels_are_convex_combinations(rng):
     assert np.abs(mixed.apply(rho) - expected).max() < 1e-12
 
 
+def drifting_sequence(rng, base, n, dim=2):
+    steps = tuple(
+        (float(rng.uniform(0.5, 1.0)), qmath.random_density(dim, rng))
+        for _ in range(n)
+    )
+    return ControllerSequence(base, steps)
+
+
+@pytest.mark.parametrize("sites", [1, 2])
+def test_sequence_kraus_equal_per_step_build_channel(rng, sites):
+    # the batched build over a shared unitary reproduces, bit for bit, one
+    # build_channel per step on that step's mixed ancilla state
+    h_sys = qmath.random_hermitian(2 ** sites, rng)
+    h_int = network.interaction_hamiltonian([2] * (sites + 1), [(sites, 0)])
+    base = qmath.random_density(2, rng)
+    seq = drifting_sequence(rng, base, 30)
+    channels = imperfect_controller_sequence(h_sys, h_int, 0.7, seq)
+    assert len(channels) == 30
+    for channel, (p, pert) in zip(channels, seq.steps):
+        single = build_channel(h_sys, h_int, p * base + (1.0 - p) * pert, 0.7)
+        assert np.array_equal(channel.kraus_operators(),
+                              single.kraus_operators())
+        assert np.array_equal(channel.ancilla_state, single.ancilla_state)
+        assert np.array_equal(channel.joint_unitary, single.joint_unitary)
+    # one joint unitary serves the whole sequence
+    assert all(ch.joint_unitary is channels[0].joint_unitary for ch in channels)
+
+
+def test_sequence_kraus_ranks_may_differ_between_steps(rng):
+    # a pure base at weight 1 keeps one ancilla eigenvector, a mixed step
+    # keeps both, so the stacks have different ranks in one batched build
+    pert = qmath.random_density(2, rng)
+    seq = ControllerSequence(ZERO, ((1.0, pert), (0.6, pert), (1.0, pert)))
+    channels = imperfect_controller_sequence(np.zeros((2, 2)), SWAP2, 0.5, seq)
+    ranks = [ch.kraus_operators().shape[0] for ch in channels]
+    assert ranks == [2, 4, 2]
+    for channel, state in zip(channels, seq.ancilla_states()):
+        single = partial_swap_channel(state, 0.5)
+        assert np.array_equal(channel.kraus_operators(),
+                              single.kraus_operators())
+
+
+def test_invalid_controller_step_is_named(rng):
+    steps = [(0.9, qmath.random_density(2, rng)) for _ in range(5)]
+    steps[3] = (0.9, np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="^step 3: not a valid density"):
+        ControllerSequence(ZERO, tuple(steps))
+    steps[3] = (0.9, np.eye(3) / 3)
+    with pytest.raises(ShapeError, match="^step 3: "):
+        ControllerSequence(ZERO, tuple(steps))
+    steps[3] = (0.2, ZERO)
+    with pytest.raises(ValueError, match="^step 3: weight 0.2"):
+        ControllerSequence(ZERO, tuple(steps), p_min=0.5)
+
+
+def test_from_unitary_matches_constructor(rng):
+    u = qmath.random_unitary(8, rng)
+    omega = qmath.random_density(2, rng)
+    built = CollisionChannel(u, omega, (2,), 0.3)
+    adopted = CollisionChannel.from_unitary(u, omega, (2,), 0.3)
+    assert vars(built).keys() == vars(adopted).keys()
+    for name, value in vars(built).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(adopted, name)), name
+        else:
+            assert value == getattr(adopted, name), name
+    with pytest.raises(ValueError):
+        CollisionChannel.from_unitary(u, np.diag([2.0, -1.0]), (2,), 0.3)
+
+
+def test_joint_unitary_forms(rng):
+    h_sys = qmath.random_hermitian(2, rng)
+    h_b = network.swap_operator([2, 2, 2], 0, 1)
+    h_c = network.swap_operator([2, 2, 2], 0, 2)
+    h_free = np.kron(h_sys, np.eye(4))
+    assert np.array_equal(joint_unitary(h_sys, [], 0.4),
+                          qmath.unitary_from_hamiltonian(h_sys, 0.4))
+    assert np.array_equal(
+        joint_unitary(h_sys, [h_b, h_c], 0.4),
+        qmath.unitary_from_hamiltonian(h_free + (h_b + h_c), 0.4),
+    )
+    u_b = qmath.unitary_from_hamiltonian(h_free + h_b, 0.4)
+    u_c = qmath.unitary_from_hamiltonian(h_free + h_c, 0.4)
+    assert np.abs(joint_unitary(h_sys, [h_b, h_c], 0.4, "alternating")
+                  - u_c @ u_b).max() < 1e-12
+    with pytest.raises(ShapeError):
+        joint_unitary(h_sys, [h_b, SWAP2], 0.4)
+    with pytest.raises(ShapeError):
+        joint_unitary(h_sys, [np.eye(3)], 0.4)
+    with pytest.raises(ValueError):
+        joint_unitary(h_sys, [h_b], -0.1)
+    with pytest.raises(ValueError):
+        joint_unitary(h_sys, [h_b], 0.4, mode="parallel")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not unitary: defect nan"):
+            joint_unitary(h_sys, [h_b], 1e308)
+
+
 def two_bath_setup(state_b, state_c, t, mode="simultaneous"):
     dims = [2, 2, 2, 2]  # two system qubits, then baths B and C
     h_sys = network.swap_operator([2, 2], 0, 1)
@@ -290,9 +391,44 @@ def test_channel_construction_errors(rng):
     ch = partial_swap_channel(qmath.random_density(2, rng), 0.3)
     with pytest.raises(ShapeError):
         ch.apply(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="trace by nan"):
+        ch.apply(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         ch.iterate(np.eye(2) / 2, -1)
     with pytest.raises(ShapeError):
         direct_apply(SWAP2, np.eye(3) / 3, ZERO)
     with pytest.raises(ShapeError):
         apply_sequence([ch], np.eye(3) / 3)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3, 4]),
+    anc=st.sampled_from([1, 2, 3]),
+    pure=st.booleans(),
+    steps=st.integers(0, 6),
+)
+def test_random_channels_stay_cptp(seed, dim, anc, pure, steps):
+    rng = np.random.default_rng(seed)
+    omega = (qmath.projector(qmath.random_pure_state(anc, rng)) if pure
+             else qmath.random_density(anc, rng))
+    channel = CollisionChannel(
+        qmath.random_unitary(dim * anc, rng), omega, (anc,), 1.0
+    )
+    # completely positive: the Choi matrix, reshuffled from the
+    # superoperator rather than read off the Kraus stack, is PSD
+    sop = channel.superoperator().matrix
+    choi = sop.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(
+        dim * dim, dim * dim
+    )
+    assert np.abs(choi - choi.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(choi).min() >= -1e-10
+    # trace preserving and state to state, under apply and under iterate
+    rho = qmath.random_density(dim, rng)
+    assert qmath.validate_density(channel.apply(rho)).passed
+    trajectory = channel.iterate(rho, steps)
+    assert trajectory.shape == (steps + 1, dim, dim)
+    assert np.array_equal(trajectory[0], rho)
+    for state in trajectory:
+        assert qmath.validate_density(state).passed

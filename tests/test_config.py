@@ -139,6 +139,13 @@ def test_error_messages_name_the_field():
         (base_raw(couplings={"chain": inf}), "couplings.chain"),
         (base_raw(couplings={"edges": [[0, 1, nan]]}), "couplings.edges[0]"),
         (base_raw(couplings={"edges": [[nan, 1, 1.0]]}), "couplings.edges[0]"),
+        # sites are integers: no truncation of 0.9 / 1.7, no bool as 1
+        (base_raw(couplings={"edges": [[0.9, 1.7, 1.0]]}), "couplings.edges[0]"),
+        (base_raw(couplings={"edges": [[0, True, 1.0]]}), "couplings.edges[0]"),
+        (base_raw(baths=[{"site": 2, "state": {"diag": True}}]),
+         "baths[0].state.diag"),
+        (base_raw(baths=[{"site": 2, "state": {"mix": [True, "zero", "plus"]}}]),
+         "baths[0].state.mix"),
         (base_raw(tolerances={"iterate_tol": inf}), "tolerances.iterate_tol"),
         (base_raw(tolerances={"iterate_tol": nan}), "tolerances.iterate_tol"),
         (base_raw(tolerances={"max_iter": inf}), "tolerances.max_iter"),
@@ -242,8 +249,9 @@ def test_set_by_path_substitution():
     assert updated["baths"][0]["state"]["diag"] == 0.25
     updated = set_by_path(raw, "couplings.chain", 2.0)
     assert updated["couplings"]["chain"] == 2.0
-    for bad in ("delta", "baths.5.state", "baths.0.flavor", "t.deep"):
-        with pytest.raises(ConfigError):
+    for bad in ("delta", "baths.5.state", "baths.0.flavor", "t.deep",
+                "baths.-1.site", "baths.+0.site", "baths. 0.site"):
+        with pytest.raises(ConfigError, match="^sweep.param: "):
             set_by_path(raw, bad, 1.0)
 
 

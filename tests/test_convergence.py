@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from mediahom import collision, convergence, network, qmath
+from mediahom._kernels import hermitian_trace_norm
 from mediahom.collision import CollisionChannel, Superoperator, build_channel
 from mediahom.config import parse_config
 from mediahom.convergence import (
@@ -330,6 +331,41 @@ def test_forgetting_metric_decays_and_is_monotone(rng):
     assert series[-1] < 1e-6
     with pytest.raises(ValueError):
         forgetting_metric([], rho1, rho2)
+
+
+def test_forgetting_metric_equals_per_step_trace_norms(rng):
+    # the batched trace norms reproduce one hermitian_trace_norm per step
+    pert = [qmath.random_density(2, rng) for _ in range(200)]
+    seq = collision.ControllerSequence(
+        np.diag([0.8, 0.2]),
+        tuple((float(rng.uniform(0.5, 1.0)), p) for p in pert),
+    )
+    chans = collision.imperfect_controller_sequence(
+        qmath.random_hermitian(2, rng), SWAP2, 0.5, seq
+    )
+    rho1, rho2 = (qmath.random_density(2, rng) for _ in range(2))
+    traj1 = collision.apply_sequence(chans, rho1)
+    traj2 = collision.apply_sequence(chans, rho2)
+    expected = [hermitian_trace_norm(a - b) for a, b in zip(traj1, traj2)]
+    series = forgetting_metric(chans, rho1, rho2)
+    assert series == expected
+    assert all(type(v) is float for v in series)
+
+
+def test_fixed_point_guards_refuse_nan():
+    # a NaN coherence passes no PSD check, and a NaN superoperator no
+    # residual check; neither may return a state
+    ident = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
+    vals = np.array([1.0])
+    with pytest.raises(FixedPointNumericalError, match="eigenvalue nan"):
+        convergence._extract_fixed_point(
+            ident, vals, lambda k: np.array([1.0, np.nan, np.nan, 0.0])
+        )
+    nan_sop = Superoperator(dim=2, matrix=np.full((4, 4), np.nan))
+    with pytest.raises(FixedPointNumericalError, match="residual nan"):
+        convergence._extract_fixed_point(
+            nan_sop, vals, lambda k: np.array([0.5, 0.0, 0.0, 0.5])
+        )
 
 
 def test_check_invariance_swap_network(rng):

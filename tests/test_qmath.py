@@ -140,6 +140,22 @@ def test_hermitian_eig_reconstructs(rng):
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         qmath.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="defect nan"):
+        qmath.hermitian_eig(np.full((2, 2), np.nan))
+
+
+def test_ensure_densities_checks_every_state(rng):
+    states = [qmath.random_density(3, rng) for _ in range(4)]
+    stack = qmath.ensure_densities(states)
+    assert stack.shape == (4, 3, 3) and stack.dtype == complex
+    assert np.array_equal(stack, np.array(states))
+    assert qmath.ensure_densities(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    for bad in (np.diag([1.5, -0.5, 0.0]), np.eye(3), np.full((3, 3), np.nan)):
+        states[2] = bad
+        with pytest.raises(ValueError, match="^step 2: not a valid density"):
+            qmath.ensure_densities(states, what="step")
+    with pytest.raises(ShapeError):
+        qmath.ensure_densities(np.eye(2) / 2)
 
 
 def test_unitary_from_hamiltonian_closed_forms(rng):
