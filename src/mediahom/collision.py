@@ -194,20 +194,6 @@ class CollisionChannel:
         self._adopt(unitary, omegas[0], ancilla_dims, interaction_time, kraus)
 
     @classmethod
-    def from_unitary(cls, joint_unitary, ancilla_state, ancilla_dims,
-                     interaction_time):
-        """The channel of a joint unitary that was already checked.
-
-        Does every check of the constructor except the unitarity check,
-        for a ``joint_unitary`` that comes from :func:`joint_unitary`.
-        """
-        (channel,) = cls._sharing(
-            qmath._as_square(joint_unitary, "joint unitary"), [ancilla_state],
-            ancilla_dims, interaction_time,
-        )
-        return channel
-
-    @classmethod
     def _sharing(cls, unitary, ancilla_states, ancilla_dims, interaction_time):
         """One channel per ancilla state, all on one checked unitary."""
         omegas, stacks = _build_kraus(unitary, ancilla_states, ancilla_dims)
@@ -286,14 +272,14 @@ class CollisionChannel:
 
 def joint_unitary(system_hamiltonian, interaction_terms, t,
                   mode="simultaneous"):
-    """The collision unitary ``exp(-i (H_A (x) I + sum_b H_b) t)``, checked.
+    """The collision unitary ``exp(-i (H_A (x) I + sum_b H_b) t)``.
 
     Every interaction term lives on the joint space, whose dimension sets
     the identity that ``H_A`` is tensored with.  ``mode="alternating"``
     instead composes one collision per term, ``U_last ... U_first`` with
     ``U_b = exp(-i (H_A (x) I + H_b) t)``.  Without terms the unitary is
-    ``exp(-i H_A t)``.  The result is checked for unitarity, so it can go
-    straight to :meth:`CollisionChannel.from_unitary`.
+    ``exp(-i H_A t)``.  The result is not checked for unitarity here;
+    :class:`CollisionChannel` checks it once.
     """
     h_sys = qmath._as_square(system_hamiltonian, "system Hamiltonian")
     terms = [qmath._as_square(h, "interaction term") for h in interaction_terms]
@@ -312,15 +298,14 @@ def joint_unitary(system_hamiltonian, interaction_terms, t,
             f"mode must be 'simultaneous' or 'alternating', got {mode!r}"
         )
     if not terms:
-        return _checked_unitary(qmath.unitary_from_hamiltonian(h_sys, t))
+        return qmath.unitary_from_hamiltonian(h_sys, t)
     h_free = np.kron(h_sys, np.eye(joint_dim // d))
     if mode == "alternating" and len(terms) > 1:
         unitary = np.eye(joint_dim, dtype=complex)
         for term in terms:
             unitary = qmath.unitary_from_hamiltonian(h_free + term, t) @ unitary
-    else:
-        unitary = qmath.unitary_from_hamiltonian(h_free + sum(terms), t)
-    return _checked_unitary(unitary)
+        return unitary
+    return qmath.unitary_from_hamiltonian(h_free + sum(terms), t)
 
 
 def _one_ancilla_unitary(system_hamiltonian, interaction_hamiltonian,
@@ -351,7 +336,7 @@ def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
     )
     if ancilla_dims is None:
         ancilla_dims = (anc,)
-    return CollisionChannel.from_unitary(unitary, omega, ancilla_dims, t)
+    return CollisionChannel(unitary, omega, ancilla_dims, t)
 
 
 def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
@@ -383,7 +368,7 @@ def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
             )
     unitary = joint_unitary(h_sys, terms, t, mode)
     ancilla = qmath.tensor([omega_b, nu_c])
-    return CollisionChannel.from_unitary(unitary, ancilla, (dim_b, dim_c), t)
+    return CollisionChannel(unitary, ancilla, (dim_b, dim_c), t)
 
 
 def direct_apply(joint_unitary, rho, ancilla_state):
@@ -438,5 +423,5 @@ def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,
         system_hamiltonian, interaction_hamiltonian, anc, t
     )
     return CollisionChannel._sharing(
-        unitary, sequence.ancilla_states(), (anc,), t
+        _checked_unitary(unitary), sequence.ancilla_states(), (anc,), t
     )

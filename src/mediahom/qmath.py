@@ -229,19 +229,18 @@ def validate_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> DensityRepo
 def ensure_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> np.ndarray:
     """Return rho as a complex array, raising if it is not a valid state."""
     rho = _as_square(rho, "density matrix")
-    report = validate_density(rho, tol_)
-    if not report.passed:
-        raise ValueError(f"not a valid density matrix ({report.describe()})")
+    ensure_densities(rho[None], tol_, what=None)
     return rho
 
 
 def ensure_densities(
-    rhos, tol_: float = tol.PSD_ATOL, what: str = "state"
+    rhos, tol_: float = tol.PSD_ATOL, what: str | None = "state"
 ) -> np.ndarray:
     """Return a stack of states as one complex ``(n, D, D)`` array.
 
-    The checks of :func:`ensure_density` run batched over the whole stack;
-    the error names the index of the first invalid ``what``.
+    Every state is checked for Hermiticity, unit trace and positivity in
+    one batched pass; the error names the index of the first invalid
+    ``what`` (``what=None`` leaves the index out, for a single state).
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
@@ -255,8 +254,9 @@ def ensure_densities(
     if not passed.all():
         k = int(np.argmin(passed))
         report = DensityReport(*(float(x[k]) for x in defects), tol_)
+        where = f"{what} {k}: " if what is not None else ""
         raise ValueError(
-            f"{what} {k}: not a valid density matrix ({report.describe()})"
+            f"{where}not a valid density matrix ({report.describe()})"
         )
     return rhos
 

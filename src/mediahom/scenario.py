@@ -124,9 +124,9 @@ def build_scenario_channel(cfg):
     ]
     unitary = joint_unitary(h_sys, terms, cfg.t, cfg.two_bath_mode)
     if n_baths == 0:
-        return CollisionChannel.from_unitary(unitary, np.eye(1), (1,), cfg.t)
+        return CollisionChannel(unitary, np.eye(1), (1,), cfg.t)
     ancilla = qmath.tensor([b.state for b in cfg.baths])
-    return CollisionChannel.from_unitary(
+    return CollisionChannel(
         unitary, ancilla, (cfg.local_dim,) * n_baths, cfg.t
     )
 

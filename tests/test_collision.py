@@ -266,21 +266,6 @@ def test_invalid_controller_step_is_named(rng):
         ControllerSequence(ZERO, tuple(steps), p_min=0.5)
 
 
-def test_from_unitary_matches_constructor(rng):
-    u = qmath.random_unitary(8, rng)
-    omega = qmath.random_density(2, rng)
-    built = CollisionChannel(u, omega, (2,), 0.3)
-    adopted = CollisionChannel.from_unitary(u, omega, (2,), 0.3)
-    assert vars(built).keys() == vars(adopted).keys()
-    for name, value in vars(built).items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(value, getattr(adopted, name)), name
-        else:
-            assert value == getattr(adopted, name), name
-    with pytest.raises(ValueError):
-        CollisionChannel.from_unitary(u, np.diag([2.0, -1.0]), (2,), 0.3)
-
-
 def test_joint_unitary_forms(rng):
     h_sys = qmath.random_hermitian(2, rng)
     h_b = network.swap_operator([2, 2, 2], 0, 1)
@@ -304,9 +289,14 @@ def test_joint_unitary_forms(rng):
         joint_unitary(h_sys, [h_b], -0.1)
     with pytest.raises(ValueError):
         joint_unitary(h_sys, [h_b], 0.4, mode="parallel")
+    # the unitary is checked where a channel is built on it, once
+    seq = ControllerSequence(ZERO, ((0.9, np.eye(2) / 2),))
     with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = joint_unitary(h_sys, [h_b], 1e308)
         with pytest.raises(ValueError, match="not unitary: defect nan"):
-            joint_unitary(h_sys, [h_b], 1e308)
+            CollisionChannel(overflowed, np.eye(4) / 4, (2, 2), 1e308)
+        with pytest.raises(ValueError, match="not unitary: defect nan"):
+            imperfect_controller_sequence(h_sys, SWAP2, 1e308, seq)
 
 
 def two_bath_setup(state_b, state_c, t, mode="simultaneous"):
