@@ -40,8 +40,10 @@ def _screened_norm(diff: np.ndarray, tol: float) -> float:
 
 
 def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_k K_k rho K_k^dag."""
-    return (kraus @ rho @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+    """sum_k K_k rho K_k^dag; a stack of states (n, D, D) maps state by state."""
+    if rho.ndim == 3:
+        kraus = kraus[:, None]
+    return (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def trajectory(kraus: np.ndarray, rho0: np.ndarray, n: int) -> np.ndarray:

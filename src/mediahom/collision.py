@@ -264,10 +264,14 @@ class CollisionChannel:
                 f"superoperator needs a {d * d} x {d * d} matrix; refusing "
                 f"beyond system dim {SUPEROPERATOR_DIM_LIMIT}"
             )
-        mat = np.zeros((d * d, d * d), dtype=complex)
-        for k in self._kraus:
-            mat += np.kron(k, k.conj())
-        return Superoperator(dim=d, matrix=mat)
+        # S[(i, j), (k, l)] = sum_m K_m[i, k] conj(K_m[j, l]): block (i, j)
+        # of S is row i of the Kraus stack times conjugated row j, so one
+        # batched matmul writes S in its final layout, with no d**4
+        # temporary
+        rows = np.ascontiguousarray(self._kraus.transpose(1, 2, 0))
+        conj_rows = np.ascontiguousarray(self._kraus.conj().transpose(1, 0, 2))
+        mat = rows[:, None] @ conj_rows[None]
+        return Superoperator(dim=d, matrix=mat.reshape(d * d, d * d))
 
 
 def joint_unitary(system_hamiltonian, interaction_terms, t,
@@ -393,14 +397,16 @@ def apply_sequence(channels, rho0):
     """Compose channels left to right; returns all intermediate states.
 
     ``result[k]`` is the state after the first ``k`` channels, so the list
-    has length ``len(channels) + 1`` and starts at ``rho0``.
+    has length ``len(channels) + 1`` and starts at ``rho0``.  A stack of
+    states, shape ``(n, D, D)``, is carried through in one pass, each state
+    exactly as on its own.
     """
     rho = np.asarray(rho0, dtype=complex)
     out = [rho]
     for ch in channels:
-        if rho.shape[0] != ch.system_dim:
+        if rho.shape[-1] != ch.system_dim:
             raise ShapeError(
-                f"channel expects dim {ch.system_dim}, state has {rho.shape[0]}"
+                f"channel expects dim {ch.system_dim}, state has {rho.shape[-1]}"
             )
         rho = apply_kraus(ch._kraus, rho)
         out.append(rho)

@@ -25,7 +25,13 @@ import numpy as np
 from . import qmath
 from .errors import ConfigError
 from .network import CouplingGraph, NetworkSpec, chain_graph
-from .tolerances import DEFAULT_ITERATE_TOL, DEFAULT_MAX_ITER, PERIPHERAL_ATOL
+from .tolerances import (
+    DEFAULT_ITERATE_TOL,
+    DEFAULT_MAX_ITER,
+    JOINT_DIM_LIMIT,
+    PERIPHERAL_ATOL,
+    SWEEP_POINTS_LIMIT,
+)
 
 _ANALYSES = ("fixed_point", "trajectory", "spectrum", "site_populations")
 _TOLERANCE_KEYS = ("iterate_tol", "max_iter", "peripheral_tol")
@@ -95,6 +101,16 @@ def _is_finite_number(value):
 def _is_index(value):
     """A JSON integer (booleans excluded)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _within_joint_limit(local_dim, factors):
+    """Whether ``local_dim ** factors`` is at most ``JOINT_DIM_LIMIT``.
+
+    ``local_dim >= 2``, so the factor count is checked first and the power
+    is only taken when it is small.
+    """
+    return (factors <= JOINT_DIM_LIMIT.bit_length()
+            and local_dim ** factors <= JOINT_DIM_LIMIT)
 
 
 def _require(raw, key, kind, where="config"):
@@ -282,6 +298,11 @@ def _parse_sweep(raw):
             or not all(_is_finite_number(v) for v in grid)
             or int(grid[2]) != grid[2] or grid[2] < 1):
         raise ConfigError("sweep.linspace: expected [start, stop, count]")
+    if grid[2] > SWEEP_POINTS_LIMIT:
+        raise ConfigError(
+            f"sweep.linspace: {grid[2]!r} points exceed the limit of "
+            f"{SWEEP_POINTS_LIMIT}"
+        )
     values = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
     return SweepSpec(param, tuple(float(v) for v in values))
 
@@ -310,6 +331,11 @@ def parse_config(raw):
     local_dim = raw.get("local_dim", 2)
     if not isinstance(local_dim, int) or local_dim < 2:
         raise ConfigError(f"local_dim: must be an integer >= 2, got {local_dim!r}")
+    if not _within_joint_limit(local_dim, sites):
+        raise ConfigError(
+            f"sites: {sites} sites of local_dim {local_dim} exceed the joint "
+            f"dimension limit {JOINT_DIM_LIMIT}"
+        )
     delta = None
     if model == "xxz":
         delta = _require(raw, "delta", float)
@@ -324,6 +350,11 @@ def parse_config(raw):
         raise ConfigError(f"t: must be non-negative, got {t}")
 
     baths_raw = _require(raw, "baths", list)
+    if not _within_joint_limit(local_dim, sites + len(baths_raw)):
+        raise ConfigError(
+            f"baths: {sites} sites and {len(baths_raw)} baths of local_dim "
+            f"{local_dim} exceed the joint dimension limit {JOINT_DIM_LIMIT}"
+        )
     baths = []
     seen_sites = set()
     for i, entry in enumerate(baths_raw):

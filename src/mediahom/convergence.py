@@ -12,6 +12,8 @@ and entropy-ratio diagnostics used by the scenario runners.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,138 @@ class ConvergenceReport:
     residual: float
 
 
+def _components(linked):
+    """Weakly connected components of a boolean adjacency matrix.
+
+    Returns sorted index arrays, ordered by their smallest index.
+    """
+    linked = linked | linked.T
+    n = linked.shape[0]
+    blocks = []
+    unplaced = np.ones(n, dtype=bool)
+    while unplaced.any():
+        block = np.zeros(n, dtype=bool)
+        block[np.argmax(unplaced)] = True
+        frontier = block.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        unplaced &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+def _hermitian_layout(block, side):
+    """A self-twin block's indices ordered (diagonal, upper, lower).
+
+    Index ``a`` of a superoperator on ``side x side`` matrices is the
+    matrix entry ``(a // side, a % side)``.  Returns ``(order, p, h)``:
+    ``p`` diagonal entries ``(i, i)``, then ``h`` entries ``(i, j)`` with
+    ``i < j``, then their transposes ``(j, i)`` in the same order.
+    """
+    rows, cols = np.divmod(block, side)
+    upper = block[rows < cols]
+    upper_rows, upper_cols = np.divmod(upper, side)
+    order = np.concatenate(
+        [block[rows == cols], upper, upper_cols * side + upper_rows]
+    )
+    return order, block.size - 2 * upper.size, upper.size
+
+
+_HALF_ROOT = np.sqrt(0.5)
+
+
+def _real_form(block, p, h):
+    """``T^H B T`` for a block laid out by :func:`_hermitian_layout`, in place.
+
+    ``T``'s columns are the orthonormal Hermitian basis ``E_ii``,
+    ``(E_ij + E_ji)/sqrt 2`` and ``i (E_ij - E_ji)/sqrt 2``, so each has at
+    most two entries and the product is O(n^2) sums of column pairs, then
+    of row pairs, written over ``block``.  A Hermiticity-preserving block
+    gives a real result; the imaginary part is kept, so the caller can
+    bound it before dropping it.
+    """
+    up, lo = slice(p, p + h), slice(p + h, None)
+    for first, second, phase in ((block[:, up], block[:, lo], 1j),
+                                 (block[up], block[lo], -1j)):
+        first += second                 # u + l
+        second *= -2.0
+        second += first                 # u - l
+        first *= _HALF_ROOT
+        second *= phase * _HALF_ROOT
+    return block
+
+
+def _from_real_form(vec, p, h):
+    """``T vec``: a real-form eigenvector in the block's own coordinates."""
+    sym, anti = vec[p:p + h], 1j * vec[p + h:]
+    return np.concatenate(
+        [vec[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
+    )
+
+
+def _on_request(matrix, vals):
+    """Eigenvector ``j`` of ``matrix`` for ``vals[j]``, from one eig on first use.
+
+    ``vals`` come from ``eigvals``; the eig pairs each with its nearest
+    eigenvalue, whose vector is an eigenvector of ``vals[j]`` to working
+    precision.
+    """
+    solve = functools.cache(lambda: np.linalg.eig(matrix))
+
+    def column(j):
+        w, vecs = solve()
+        return vecs[:, np.argmin(np.abs(w - vals[j]))]
+
+    return column
+
+
+# Each block becomes a part: (eigenvalues, the matrix indices they live on,
+# column(j) = eigenvector of eigenvalue j on those indices).
+
+def _complex_part(matrix, idx):
+    """The complex eig of the block on sorted indices ``idx``, vectors at once."""
+    block = matrix if idx.size == matrix.shape[0] else matrix[np.ix_(idx, idx)]
+    vals, vecs = np.linalg.eig(block)
+    return vals, idx, lambda j: vecs[:, j]
+
+
+def _self_twin_part(matrix, block, side, tol):
+    """A block the swap maps onto itself, by a real eig of its real form."""
+    idx, p, h = _hermitian_layout(block, side)
+    form = _real_form(matrix[np.ix_(idx, idx)].astype(complex, copy=False),
+                      p, h)
+    # Im(T^H B T) = T^H (B - conj(B[P, P])) T / 2i: bounding the part that
+    # is dropped checks the symmetry, to within a factor 4 entrywise
+    if not max(form.imag.max(), -form.imag.min()) <= tol:
+        return _complex_part(matrix, block)
+    real = form.real.copy()
+    del form
+    if p:
+        vals, vecs = np.linalg.eig(real)
+        column = lambda j: vecs[:, j]
+    else:
+        vals = np.linalg.eigvals(real)
+        column = _on_request(real, vals)
+    return vals, idx, lambda j: _from_real_form(column(j), p, h)
+
+
+def _twin_parts(matrix, block, swap, tol):
+    """Parts of ``block`` and its twin ``swap[block]`` from one ``eigvals``.
+
+    ``None`` when the twin is not the conjugate of the block.
+    """
+    entries = matrix[np.ix_(block, block)]
+    mirror = matrix[np.ix_(swap[block], swap[block])]
+    if not np.abs(mirror - entries.conj()).max() <= tol:
+        return None
+    del mirror
+    vals = np.linalg.eigvals(entries)
+    column = _on_request(entries, vals)
+    return ((vals, block, column),
+            (vals.conj(), swap[block], lambda j: column(j).conj()))
+
+
 def _eig_by_blocks(matrix):
     """Eigenvalues of ``matrix`` and a lookup of their right eigenvectors.
 
@@ -71,41 +205,73 @@ def _eig_by_blocks(matrix):
     eigendecomposed on its own.  Returns ``(vals, eigenvector)``: ``vals``
     concatenates the blocks' eigenvalues and ``eigenvector(k)`` is the
     full-length right eigenvector of ``vals[k]``, zero outside its block.
+
+    A channel maps Hermitian matrices to Hermitian matrices, that is
+    ``S[P, P] = conj(S)`` for the swap ``P: (i, j) -> (j, i)`` of a
+    superoperator on ``d x d`` matrices.  Two shortcuts follow, each taken
+    for a block only where it passes a check of that symmetry within the
+    split tolerance; a block that fails it gets the complex eig:
+
+    - a block mapped onto itself by ``P`` is real in the Hermitian basis
+      (:func:`_real_form`), so a real eig replaces the complex one.  The
+      check bounds the imaginary part that is dropped, which is
+      ``S[b, b] - conj(S[P b, P b])`` in that basis;
+    - a block ``b`` mapped onto another block ``P b`` (its conjugate twin,
+      coherence number ``-c`` for ``c``) has the conjugate eigenvalues and,
+      permuted by ``P``, the conjugate eigenvectors, so one eig serves both.
+      The check is ``max|S[P b, P b] - conj(S[b, b])|``.
+
+    Eigenvectors are computed at once only for self-twin blocks that hold a
+    diagonal entry ``(i, i)``, the only blocks a trace-1 fixed point can
+    live in; the other blocks compute them when first asked for.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[0]
     mags = np.abs(matrix)
     scale = mags.max(initial=0.0)
-    blocks = []
-    # a non-finite matrix is not split: it goes whole to eig, which rejects it
-    if np.isfinite(scale):
-        linked = mags > BLOCK_SPLIT_RTOL * scale
-        linked = linked | linked.T
-        unplaced = np.ones(n, dtype=bool)
-        while unplaced.any():
-            block = np.zeros(n, dtype=bool)
-            block[np.argmax(unplaced)] = True
-            frontier = block.copy()
-            while frontier.any():
-                frontier = linked[frontier].any(axis=0) & ~block
-                block |= frontier
-            unplaced &= ~block
-            blocks.append(np.flatnonzero(block))
-    del mags  # not needed during the eigendecompositions
-    if len(blocks) <= 1:
+    if not np.isfinite(scale):
+        # a non-finite matrix is not split: it goes whole to eig, which
+        # rejects it
         vals, vecs = np.linalg.eig(matrix)
         return vals, lambda k: vecs[:, k]
+    tol = BLOCK_SPLIT_RTOL * scale
+    blocks = _components(mags > tol)
+    del mags  # not needed during the eigendecompositions
+    side = math.isqrt(n)
+    swap = np.arange(n).reshape(side, side).T.ravel() if side * side == n \
+        else None
+    label = np.empty(n, dtype=int)
+    for i, b in enumerate(blocks):
+        label[b] = i
 
-    parts = [np.linalg.eig(matrix[np.ix_(b, b)]) for b in blocks]
-    vals = np.concatenate([block_vals for block_vals, _ in parts])
+    parts = [None] * len(blocks)
+    for i, b in enumerate(blocks):
+        if parts[i] is not None:
+            continue  # solved with its twin
+        twin = -1 if swap is None else label[swap[b[0]]]
+        # the swap must map the block onto a whole block; a twin before i
+        # failed the symmetry check when it was reached
+        if twin < i or blocks[twin].size != b.size \
+                or (label[swap[b]] != twin).any():
+            parts[i] = _complex_part(matrix, b)
+        elif twin == i:
+            parts[i] = _self_twin_part(matrix, b, side, tol)
+        else:
+            pair = _twin_parts(matrix, b, swap, tol)
+            if pair is None:
+                parts[i] = _complex_part(matrix, b)
+            else:
+                parts[i], parts[twin] = pair
+
+    vals = np.concatenate([part[0] for part in parts])
     sizes = [b.size for b in blocks]
     owner = np.repeat(np.arange(len(blocks)), sizes)
     start = np.cumsum([0] + sizes)
 
     def eigenvector(k):
-        i = owner[k]
+        _, idx, column = parts[owner[k]]
         vec = np.zeros(n, dtype=complex)
-        vec[blocks[i]] = parts[i][1][:, k - start[i]]
+        vec[idx] = column(k - start[owner[k]])
         return vec
 
     return vals, eigenvector
@@ -327,9 +493,8 @@ def forgetting_metric(channels, rho1, rho2):
     """
     if len(channels) == 0:
         raise ValueError("forgetting metric needs a non-empty sequence")
-    traj1 = apply_sequence(channels, rho1)
-    traj2 = apply_sequence(channels, rho2)
-    return hermitian_trace_norm(np.stack(traj1) - np.stack(traj2)).tolist()
+    pairs = np.stack(apply_sequence(channels, np.stack([rho1, rho2])))
+    return hermitian_trace_norm(pairs[:, 0] - pairs[:, 1]).tolist()
 
 
 def check_invariance(joint_unitary, rho_star, omega, tol=1e-9):

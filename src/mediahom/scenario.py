@@ -198,7 +198,7 @@ def _trajectory_rows(cfg, channel, rho0):
 
 
 def _spectrum_rows(cfg, channel, rho0):
-    vals = np.linalg.eigvals(channel.superoperator().matrix)
+    vals, _ = convergence._eig_by_blocks(channel.superoperator().matrix)
     order = np.argsort(-np.abs(vals))
     return [
         (i, float(vals[j].real), float(vals[j].imag), float(abs(vals[j])), "ok")

@@ -46,6 +46,13 @@ FACTORIZED_WEIGHT_ATOL = 1e-8
 # (the matrix grows as dim**4).
 SUPEROPERATOR_DIM_LIMIT = 64
 
+# Configs are refused when the joint dimension of the network and its bath
+# ancillas exceeds this; the dense joint unitary alone would pass 256 MB.
+JOINT_DIM_LIMIT = 4096
+
+# A linspace sweep may ask for at most this many points.
+SWEEP_POINTS_LIMIT = 100_000
+
 # Iterative fixed-point defaults.
 DEFAULT_ITERATE_TOL = 1e-10
 DEFAULT_MAX_ITER = 20_000

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mediahom import config, qmath
 from mediahom.config import (
@@ -154,6 +156,14 @@ def test_error_messages_name_the_field():
         (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),
         (base_raw(sweep={"param": "t", "linspace": [0, inf, 3]}), "sweep.linspace"),
+        # sizes refused before anything of that size is allocated
+        (base_raw(sites=10**12), "sites"),
+        (base_raw(sites=13), "sites"),
+        (base_raw(local_dim=10**12, baths=[{"site": 2, "state": "zero"}]),
+         "sites"),
+        (base_raw(sites=12), "baths"),
+        (base_raw(sweep={"param": "t", "linspace": [0, 1, 10**12]}),
+         "sweep.linspace"),
     ]
     for raw, fragment in cases:
         with pytest.raises(ConfigError) as info:
@@ -266,3 +276,63 @@ def test_load_config_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+# Every key and named value the config format knows, so random documents
+# reach the nested validators instead of stopping at the first lookup.
+CONFIG_KEYS = sorted(config._KNOWN_KEYS | set(config._TOLERANCE_KEYS) | {
+    "chain", "edges", "site", "state", "diag", "mix", "matrix",
+    "random_seed", "trajectory", "param", "values", "linspace",
+})
+CONFIG_WORDS = [
+    "swap", "xxz", "ground", "random", "zero", "plus", "minus",
+    *config._ANALYSES, "simultaneous", "alternating", "input",
+    "post_collision", "t", "delta", "baths.0.state.mix.0",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(CONFIG_WORDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=3),
+                      inner, max_size=4),
+    max_leaves=10,
+)
+# A valid config that uses every section; each of its paths, inner or
+# leaf, is a place to put a random value.
+FULL_RAW = base_raw(
+    local_dim=2, two_bath_mode="alternating", bath_report="post_collision",
+    baths=[{"site": 2, "state": {"mix": [0.5, "zero", {"diag": 0.3}]}}],
+    initial_state={"random_seed": 3}, analysis={"trajectory": 4},
+    tolerances={"iterate_tol": 1e-9, "max_iter": 50, "peripheral_tol": 1e-8},
+    sweep={"param": "t", "linspace": [0.1, 0.5, 3]},
+)
+
+
+def _paths(node, prefix=""):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        path = f"{prefix}{key}"
+        yield path
+        yield from _paths(child, path + ".")
+
+
+def test_full_raw_is_valid():
+    assert len(parse_config(FULL_RAW).sweep.values) == 3
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    document=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES,
+                             max_size=8),
+    path=st.sampled_from(sorted(_paths(FULL_RAW))),
+    value=JSON_VALUES,
+)
+def test_any_json_value_parses_or_raises_config_error(document, path, value):
+    # a random document, and the full config with one value replaced
+    for raw in (document, set_by_path(FULL_RAW, path, value)):
+        try:
+            cfg = parse_config(json.loads(json.dumps(raw)))
+        except ConfigError:
+            continue
+        assert isinstance(cfg, config.ScenarioConfig)

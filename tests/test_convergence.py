@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from mediahom import collision, convergence, network, qmath
-from mediahom._kernels import hermitian_trace_norm
+from mediahom._kernels import apply_kraus, hermitian_trace_norm
 from mediahom.collision import CollisionChannel, Superoperator, build_channel
 from mediahom.config import parse_config
 from mediahom.convergence import (
@@ -175,6 +175,105 @@ def test_blocked_spectrum_matches_dense_oracle(case):
     )
     assert np.abs(report.fixed_point - dense_rho).max() < 1e-12
     assert np.abs(spectral_fixed_point(sop) - dense_rho).max() < 1e-12
+
+
+def swap_permutation(side):
+    """Index of (j, i) for each row-major index of (i, j)."""
+    return np.arange(side * side).reshape(side, side).T.ravel()
+
+
+# (superoperator, whether it has conjugate-twin blocks); conjugation by X
+# swaps (0, 1) with (1, 0), a self-twin block without a diagonal entry
+REAL_FORM_CASES = {
+    "xxz_two_diagonal_baths": (
+        lambda: scenario_sop(**BLOCK_CASES["xxz_two_diagonal_baths"][0]), True),
+    "xxz_minus_bath": (
+        lambda: scenario_sop(**BLOCK_CASES["xxz_minus_bath"][0]), False),
+    "x_conjugation": (lambda: unitary_conjugation_sop(qmath.PAULI_X), False),
+}
+
+
+@pytest.mark.parametrize("case", REAL_FORM_CASES)
+def test_real_form_and_twins_against_dense_oracle(case):
+    build, has_twins = REAL_FORM_CASES[case]
+    sop = build()
+    matrix, side = sop.matrix, sop.dim
+    swap = swap_permutation(side)
+    _, labels = connected_components(
+        np.abs(matrix) > BLOCK_SPLIT_RTOL * np.abs(matrix).max(),
+        directed=True, connection="weak",
+    )
+
+    # the real form of every self-twin block: T^H B T with T built densely,
+    # and an imaginary part far below the split tolerance before it is dropped
+    for label in np.unique(labels):
+        block = np.flatnonzero(labels == label)
+        if labels[swap[block[0]]] != label:
+            continue
+        order, p, h = convergence._hermitian_layout(block, side)
+        assert np.array_equal(np.sort(order), block)
+        assert np.array_equal(swap[order[p:p + h]], order[p + h:])
+        t = np.zeros((order.size, order.size), dtype=complex)
+        t[np.arange(p), np.arange(p)] = 1.0
+        up = np.arange(p, p + h)
+        t[up, up] = t[up + h, up] = np.sqrt(0.5)
+        t[up, up + h], t[up + h, up + h] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+        b = matrix[np.ix_(order, order)]
+        real = convergence._real_form(b.copy(), p, h)
+        assert np.abs(real - t.conj().T @ b @ t).max() < 1e-15
+        assert np.abs(real.imag).max() <= 1e-15
+
+    # every eigenvector the lookup serves, eager or built on request
+    vals, eigenvector = convergence._eig_by_blocks(matrix)
+    norm = np.linalg.norm(matrix, 2)
+    owner = np.empty(vals.size, dtype=int)
+    for k in range(vals.size):
+        vec = eigenvector(k)
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
+        support = np.unique(labels[np.flatnonzero(vec)])
+        assert support.size == 1
+        owner[k] = support[0]
+
+    # twins: block P b holds exactly the conjugates of block b's eigenvalues
+    twins = 0
+    for label in np.unique(labels):
+        mirror = labels[swap[np.flatnonzero(labels == label)[0]]]
+        if mirror != label:
+            twins += 1
+            assert np.array_equal(np.sort_complex(vals[owner == mirror]),
+                                  np.sort_complex(vals[owner == label].conj()))
+    assert (twins > 0) == has_twins
+
+    dense = np.linalg.eigvals(matrix)
+    dist = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() < 1e-12
+
+
+@pytest.mark.parametrize("mirrored_blocks", [False, True])
+def test_non_hermiticity_preserving_matrix_matches_dense_eig(mirrored_blocks):
+    # a random matrix fails the check and takes the complex eig; so does a
+    # matrix whose blocks mirror each other but whose entries do not
+    rng = np.random.default_rng(7)
+    if mirrored_blocks:
+        sop = scenario_sop(**BLOCK_CASES["xxz_two_diagonal_baths"][0])
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, sop.matrix.shape))
+        matrix = sop.matrix * phases
+    else:
+        matrix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    swap = swap_permutation(math.isqrt(matrix.shape[0]))
+    assert np.abs(matrix[np.ix_(swap, swap)] - matrix.conj()).max() > 1e-3
+    vals, eigenvector = convergence._eig_by_blocks(matrix)
+    dense = np.linalg.eigvals(matrix)
+    dist = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert vals.shape == dense.shape
+    assert dist[rows, cols].max() < 1e-12
+    norm = np.linalg.norm(matrix, 2)
+    for k in range(vals.size):
+        vec = eigenvector(k)
+        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
 
 
 @pytest.mark.parametrize("dim", [2, 8])
@@ -350,6 +449,27 @@ def test_forgetting_metric_equals_per_step_trace_norms(rng):
     series = forgetting_metric(chans, rho1, rho2)
     assert series == expected
     assert all(type(v) is float for v in series)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_states_follow_the_per_state_loop(rng, dim):
+    # one pass over a stacked pair of states gives, bit for bit, the states
+    # and the forgetting series of one kernel call per state and channel
+    chans = [CollisionChannel(qmath.random_unitary(2 * dim, rng),
+                              qmath.random_density(2, rng), (2,), 1.0)
+             for _ in range(30)]
+    rho1, rho2 = (qmath.random_density(dim, rng) for _ in range(2))
+    loops = []
+    for rho in (rho1, rho2):
+        states = [rho]
+        for ch in chans:
+            states.append(apply_kraus(ch.kraus_operators(), states[-1]))
+        loops.append(states)
+    stacked = collision.apply_sequence(chans, np.stack([rho1, rho2]))
+    for pair, one, two in zip(stacked, *loops):
+        assert np.array_equal(pair, np.stack([one, two]))
+    expected = [hermitian_trace_norm(a - b) for a, b in zip(*loops)]
+    assert forgetting_metric(chans, rho1, rho2) == expected
 
 
 def test_fixed_point_guards_refuse_nan():

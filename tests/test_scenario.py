@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mediahom import qmath
 from mediahom.config import parse_config
@@ -127,6 +128,25 @@ def test_spectrum_rows_sorted_and_bounded():
     assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
     assert mods[-1] <= 1.0 + 1e-10
     assert table.column("index") == list(range(64))
+
+
+@pytest.mark.parametrize("raw", [
+    swap_chain_raw(analysis="spectrum"),
+    swap_chain_raw(model="xxz", sites=4, delta=1.0, analysis="spectrum",
+                   baths=[{"site": 3, "state": "minus"}]),
+], ids=["swap_chain", "xxz_minus_bath"])
+def test_spectrum_rows_match_dense_oracle(raw):
+    cfg = parse_config(raw)
+    table = run_scenario(cfg)
+    dense = np.linalg.eigvals(build_scenario_channel(cfg).superoperator().matrix)
+    mods = np.array(table.column("modulus"))
+    assert np.abs(mods - np.sort(np.abs(dense))[::-1]).max() < 1e-12
+    vals = np.array(table.column("eig_real")) + 1j * np.array(
+        table.column("eig_imag")
+    )
+    dist = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() < 1e-12
 
 
 def test_site_populations_input_vs_post_collision():
