@@ -138,6 +138,15 @@ def test_superoperator_agrees_with_apply(rng):
         assert np.abs(sop.apply(rho) - ch.apply(rho)).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_superoperator_equals_kron_sum(rng, dim):
+    # the batched build against the defining sum of kron(K, conj(K))
+    ch = CollisionChannel(qmath.random_unitary(3 * dim, rng),
+                          qmath.random_density(3, rng), (3,), 1.0)
+    expected = sum(np.kron(k, k.conj()) for k in ch.kraus_operators())
+    assert np.abs(ch.superoperator().matrix - expected).max() < 1e-15
+
+
 def test_superoperator_spectrum_in_unit_disk(rng):
     omega = qmath.random_density(2, rng)
     ch = partial_swap_channel(omega, 0.8)
