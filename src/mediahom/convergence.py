@@ -103,25 +103,25 @@ def _hermitian_layout(block, side):
 _HALF_ROOT = np.sqrt(0.5)
 
 
-def _real_form(block, p, h):
+def _real_form(entries, p, h):
     """``T^H B T`` for a block laid out by :func:`_hermitian_layout`, in place.
 
     ``T``'s columns are the orthonormal Hermitian basis ``E_ii``,
     ``(E_ij + E_ji)/sqrt 2`` and ``i (E_ij - E_ji)/sqrt 2``, so each has at
     most two entries and the product is O(n^2) sums of column pairs, then
-    of row pairs, written over ``block``.  A Hermiticity-preserving block
+    of row pairs, written over ``entries``.  A Hermiticity-preserving block
     gives a real result; the imaginary part is kept, so the caller can
     bound it before dropping it.
     """
     up, lo = slice(p, p + h), slice(p + h, None)
-    for first, second, phase in ((block[:, up], block[:, lo], 1j),
-                                 (block[up], block[lo], -1j)):
+    for first, second, phase in ((entries[:, up], entries[:, lo], 1j),
+                                 (entries[up], entries[lo], -1j)):
         first += second                 # u + l
         second *= -2.0
         second += first                 # u - l
         first *= _HALF_ROOT
         second *= phase * _HALF_ROOT
-    return block
+    return entries
 
 
 def _from_real_form(vec, p, h):
@@ -215,7 +215,7 @@ def _eig_by_blocks(matrix):
     - a block mapped onto itself by ``P`` is real in the Hermitian basis
       (:func:`_real_form`), so a real eig replaces the complex one.  The
       check bounds the imaginary part that is dropped, which is
-      ``S[b, b] - conj(S[P b, P b])`` in that basis;
+      ``(S[b, b] - conj(S[P b, P b])) / 2i`` in that basis;
     - a block ``b`` mapped onto another block ``P b`` (its conjugate twin,
       coherence number ``-c`` for ``c``) has the conjugate eigenvalues and,
       permuted by ``P``, the conjugate eigenvectors, so one eig serves both.
