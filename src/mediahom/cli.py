@@ -39,8 +39,8 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=None,
                        help="iteration residual tolerance override")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="parallel workers (default: MEDIAHOM_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel workers (default: 1)")
 
     add_common(sub.add_parser("run", help="run one scenario"))
     add_common(sub.add_parser("sweep", help="run the config's parameter sweep"),

@@ -50,6 +50,14 @@ class Superoperator:
     dim: int
     matrix: np.ndarray
 
+    def __post_init__(self):
+        size = self.dim * self.dim
+        if np.shape(self.matrix) != (size, size):
+            raise ShapeError(
+                f"superoperator matrix has shape {np.shape(self.matrix)}, "
+                f"expected ({size}, {size}) for dim {self.dim}"
+            )
+
     def apply(self, rho):
         return unvectorize(self.matrix @ vectorize(rho), self.dim)
 
@@ -187,33 +195,27 @@ class CollisionChannel:
     derived once at construction and reused by every application.
     """
 
-    def __init__(self, joint_unitary, ancilla_state, ancilla_dims,
-                 interaction_time):
+    def __init__(self, joint_unitary, ancilla_state, ancilla_dims):
         unitary = _checked_unitary(joint_unitary)
         omegas, (kraus,) = _build_kraus(unitary, [ancilla_state], ancilla_dims)
-        self._adopt(unitary, omegas[0], ancilla_dims, interaction_time, kraus)
+        self._adopt(unitary, omegas[0], ancilla_dims, kraus)
 
     @classmethod
-    def _sharing(cls, unitary, ancilla_states, ancilla_dims, interaction_time):
+    def _sharing(cls, unitary, ancilla_states, ancilla_dims):
         """One channel per ancilla state, all on one checked unitary."""
         omegas, stacks = _build_kraus(unitary, ancilla_states, ancilla_dims)
         channels = []
         for omega, kraus in zip(omegas, stacks):
             channel = cls.__new__(cls)
-            channel._adopt(unitary, omega, ancilla_dims, interaction_time, kraus)
+            channel._adopt(unitary, omega, ancilla_dims, kraus)
             channels.append(channel)
         return channels
 
-    def _adopt(self, unitary, omega, ancilla_dims, interaction_time, kraus):
-        if not interaction_time >= 0:
-            raise ValueError(
-                f"interaction time must be non-negative, got {interaction_time}"
-            )
+    def _adopt(self, unitary, omega, ancilla_dims, kraus):
         self.system_dim = unitary.shape[0] // omega.shape[0]
         self.ancilla_dims = tuple(int(d) for d in ancilla_dims)
         self.joint_unitary = unitary
         self.ancilla_state = omega
-        self.interaction_time = float(interaction_time)
         self._kraus = kraus
 
     def kraus_operators(self):
@@ -326,7 +328,7 @@ def _one_ancilla_unitary(system_hamiltonian, interaction_hamiltonian,
 
 
 def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
-                  t, ancilla_dims=None):
+                  t):
     """Channel of ``U = exp(-i (H_A + H_I) t)`` with a fresh-ancilla trace-out.
 
     ``system_hamiltonian`` acts on the system alone and is embedded as
@@ -338,9 +340,7 @@ def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
     unitary = _one_ancilla_unitary(
         system_hamiltonian, interaction_hamiltonian, anc, t
     )
-    if ancilla_dims is None:
-        ancilla_dims = (anc,)
-    return CollisionChannel(unitary, omega, ancilla_dims, t)
+    return CollisionChannel(unitary, omega, (anc,))
 
 
 def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
@@ -372,7 +372,7 @@ def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
             )
     unitary = joint_unitary(h_sys, terms, t, mode)
     ancilla = qmath.tensor([omega_b, nu_c])
-    return CollisionChannel(unitary, ancilla, (dim_b, dim_c), t)
+    return CollisionChannel(unitary, ancilla, (dim_b, dim_c))
 
 
 def direct_apply(joint_unitary, rho, ancilla_state):
@@ -429,5 +429,5 @@ def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,
         system_hamiltonian, interaction_hamiltonian, anc, t
     )
     return CollisionChannel._sharing(
-        _checked_unitary(unitary), sequence.ancilla_states(), (anc,), t
+        _checked_unitary(unitary), sequence.ancilla_states(), (anc,)
     )

@@ -31,6 +31,7 @@ from .tolerances import (
     JOINT_DIM_LIMIT,
     PERIPHERAL_ATOL,
     SWEEP_POINTS_LIMIT,
+    TRAJECTORY_ENTRIES_LIMIT,
 )
 
 _ANALYSES = ("fixed_point", "trajectory", "spectrum", "site_populations")
@@ -80,9 +81,6 @@ class ScenarioConfig:
             local_dim=self.local_dim,
             model=self.model,
             delta=self.delta,
-            bath_sites=tuple(
-                (f"bath{i}", b.site) for i, b in enumerate(self.baths)
-            ),
         )
 
 
@@ -198,17 +196,22 @@ def parse_bath_state(spec, local_dim, where):
         second = parse_bath_state(value[2], local_dim, f"{where}.mix[2]")
         return float(p) * first + (1.0 - float(p)) * second
     if kind == "matrix":
-        matrix = parse_matrix(value, f"{where}.matrix")
-        if matrix.shape[0] != local_dim:
-            raise ConfigError(
-                f"{where}.matrix: dimension {matrix.shape[0]} does not match "
-                f"local_dim {local_dim}"
-            )
-        try:
-            return qmath.ensure_density(matrix)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.matrix: {exc}") from exc
+        return _parse_density(value, local_dim, "local_dim", f"{where}.matrix")
     raise ConfigError(f"{where}: unknown state form {kind!r}")
+
+
+def _parse_density(entries, dim, dim_name, where):
+    """An explicit ``{"matrix": ...}`` state, checked to be ``dim x dim``."""
+    matrix = parse_matrix(entries, where)
+    if matrix.shape[0] != dim:
+        raise ConfigError(
+            f"{where}: dimension {matrix.shape[0]} does not match "
+            f"{dim_name} {dim}"
+        )
+    try:
+        return qmath.ensure_density(matrix)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_couplings(raw, sites):
@@ -240,7 +243,7 @@ def _parse_couplings(raw, sites):
     raise ConfigError(f"couplings: unknown form {kind!r}")
 
 
-def _parse_initial_state(spec):
+def _parse_initial_state(spec, dim):
     if spec in ("ground", "random"):
         return spec
     if isinstance(spec, dict) and len(spec) == 1:
@@ -252,14 +255,16 @@ def _parse_initial_state(spec):
                 )
             return {"random_seed": value}
         if kind == "matrix":
-            return {"matrix": value}  # materialized at run time, dim-checked there
+            return {"matrix": _parse_density(
+                value, dim, "system dimension", "initial_state.matrix"
+            )}
     raise ConfigError(
         f"initial_state: expected 'ground', 'random', {{'random_seed': n}} "
         f"or {{'matrix': ...}}, got {spec!r}"
     )
 
 
-def _parse_analysis(spec):
+def _parse_analysis(spec, dim):
     if spec in ("fixed_point", "spectrum", "site_populations"):
         return spec, None
     if isinstance(spec, dict) and len(spec) == 1 and "trajectory" in spec:
@@ -267,6 +272,12 @@ def _parse_analysis(spec):
         if not _is_index(steps) or steps < 0:
             raise ConfigError(
                 f"analysis.trajectory: expected a step count >= 0, got {steps!r}"
+            )
+        if (steps + 1) * dim * dim > TRAJECTORY_ENTRIES_LIMIT:
+            raise ConfigError(
+                f"analysis.trajectory: {steps} steps store {steps + 1} states "
+                f"of dimension {dim}, more than the limit of "
+                f"{TRAJECTORY_ENTRIES_LIMIT} matrix entries"
             )
         return "trajectory", steps
     raise ConfigError(
@@ -377,10 +388,11 @@ def parse_config(raw):
 
     if "initial_state" not in raw:
         raise ConfigError("config: missing required field 'initial_state'")
-    initial_state = _parse_initial_state(raw["initial_state"])
+    dim = local_dim ** sites
+    initial_state = _parse_initial_state(raw["initial_state"], dim)
     if "analysis" not in raw:
         raise ConfigError("config: missing required field 'analysis'")
-    analysis, analysis_arg = _parse_analysis(raw["analysis"])
+    analysis, analysis_arg = _parse_analysis(raw["analysis"], dim)
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):

@@ -12,9 +12,8 @@ and entropy-ratio diagnostics used by the scenario runners.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,38 +123,28 @@ def _real_form(entries, p, h):
     return entries
 
 
-def _from_real_form(vec, p, h):
-    """``T vec``: a real-form eigenvector in the block's own coordinates."""
-    sym, anti = vec[p:p + h], 1j * vec[p + h:]
+def _from_real_form(vecs, p, h):
+    """``T vecs``: real-form eigenvector columns in the block's coordinates."""
+    sym, anti = vecs[p:p + h], 1j * vecs[p + h:]
     return np.concatenate(
-        [vec[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
+        [vecs[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
     )
 
 
-def _on_request(matrix, vals):
-    """Eigenvector ``j`` of ``matrix`` for ``vals[j]``, from one eig on first use.
-
-    ``vals`` come from ``eigvals``; the eig pairs each with its nearest
-    eigenvalue, whose vector is an eigenvector of ``vals[j]`` to working
-    precision.
-    """
-    solve = functools.cache(lambda: np.linalg.eig(matrix))
-
-    def column(j):
-        w, vecs = solve()
-        return vecs[:, np.argmin(np.abs(w - vals[j]))]
-
-    return column
-
-
 # Each block becomes a part: (eigenvalues, the matrix indices they live on,
-# column(j) = eigenvector of eigenvalue j on those indices).
+# their eigenvectors as columns on those indices or None).
 
-def _complex_part(matrix, idx):
-    """The complex eig of the block on sorted indices ``idx``, vectors at once."""
+def _complex_part(matrix, idx, side):
+    """The complex eig of the block on sorted indices ``idx``.
+
+    Eigenvectors only if the block holds a diagonal entry ``(i, i)``, which
+    is index ``i * (side + 1)``.
+    """
     block = matrix if idx.size == matrix.shape[0] else matrix[np.ix_(idx, idx)]
+    if not (idx % (side + 1) == 0).any():
+        return np.linalg.eigvals(block), idx, None
     vals, vecs = np.linalg.eig(block)
-    return vals, idx, lambda j: vecs[:, j]
+    return vals, idx, vecs
 
 
 def _self_twin_part(matrix, block, side, tol):
@@ -166,16 +155,13 @@ def _self_twin_part(matrix, block, side, tol):
     # Im(T^H B T) = T^H (B - conj(B[P, P])) T / 2i: bounding the part that
     # is dropped checks the symmetry, to within a factor 4 entrywise
     if not max(form.imag.max(), -form.imag.min()) <= tol:
-        return _complex_part(matrix, block)
+        return _complex_part(matrix, block, side)
     real = form.real.copy()
     del form
-    if p:
-        vals, vecs = np.linalg.eig(real)
-        column = lambda j: vecs[:, j]
-    else:
-        vals = np.linalg.eigvals(real)
-        column = _on_request(real, vals)
-    return vals, idx, lambda j: _from_real_form(column(j), p, h)
+    if not p:
+        return np.linalg.eigvals(real), idx, None
+    vals, vecs = np.linalg.eig(real)
+    return vals, idx, _from_real_form(vecs, p, h)
 
 
 def _twin_parts(matrix, block, swap, tol):
@@ -189,13 +175,11 @@ def _twin_parts(matrix, block, swap, tol):
         return None
     del mirror
     vals = np.linalg.eigvals(entries)
-    column = _on_request(entries, vals)
-    return ((vals, block, column),
-            (vals.conj(), swap[block], lambda j: column(j).conj()))
+    return (vals, block, None), (vals.conj(), swap[block], None)
 
 
 def _eig_by_blocks(matrix):
-    """Eigenvalues of ``matrix`` and a lookup of their right eigenvectors.
+    """Eigenvalues of ``matrix`` and a lookup of its fixed-point candidates.
 
     A conserved charge, such as the magnetization of an XXZ or swap network
     with diagonal baths, makes a superoperator block diagonal up to a
@@ -203,8 +187,15 @@ def _eig_by_blocks(matrix):
     components of the graph that links ``i`` and ``j`` wherever ``|S_ij|``
     exceeds ``BLOCK_SPLIT_RTOL * max|S|``, and each block is
     eigendecomposed on its own.  Returns ``(vals, eigenvector)``: ``vals``
-    concatenates the blocks' eigenvalues and ``eigenvector(k)`` is the
-    full-length right eigenvector of ``vals[k]``, zero outside its block.
+    concatenates the blocks' eigenvalues, the blocks ordered by their
+    smallest index, and ``eigenvector(k)`` is a full-length vector, zero
+    outside the block of ``vals[k]``.
+
+    Eigenvectors are computed only for blocks that hold a diagonal entry
+    ``(i, i)``, the only blocks a trace-1 fixed point can live in; there
+    ``eigenvector(k)`` is the right eigenvector of ``vals[k]``.  For every
+    other block it is the zero vector, whose trace, like that of any
+    vector of such a block, is exactly 0.
 
     A channel maps Hermitian matrices to Hermitian matrices, that is
     ``S[P, P] = conj(S)`` for the swap ``P: (i, j) -> (j, i)`` of a
@@ -217,13 +208,9 @@ def _eig_by_blocks(matrix):
       check bounds the imaginary part that is dropped, which is
       ``(S[b, b] - conj(S[P b, P b])) / 2i`` in that basis;
     - a block ``b`` mapped onto another block ``P b`` (its conjugate twin,
-      coherence number ``-c`` for ``c``) has the conjugate eigenvalues and,
-      permuted by ``P``, the conjugate eigenvectors, so one eig serves both.
-      The check is ``max|S[P b, P b] - conj(S[b, b])|``.
-
-    Eigenvectors are computed at once only for self-twin blocks that hold a
-    diagonal entry ``(i, i)``, the only blocks a trace-1 fixed point can
-    live in; the other blocks compute them when first asked for.
+      coherence number ``-c`` for ``c``) has the conjugate eigenvalues, so
+      one ``eigvals`` serves both.  Neither holds a diagonal entry.  The
+      check is ``max|S[P b, P b] - conj(S[b, b])|``.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[0]
@@ -238,8 +225,7 @@ def _eig_by_blocks(matrix):
     blocks = _components(mags > tol)
     del mags  # not needed during the eigendecompositions
     side = math.isqrt(n)
-    swap = np.arange(n).reshape(side, side).T.ravel() if side * side == n \
-        else None
+    swap = np.arange(n).reshape(side, side).T.ravel()
     label = np.empty(n, dtype=int)
     for i, b in enumerate(blocks):
         label[b] = i
@@ -248,18 +234,18 @@ def _eig_by_blocks(matrix):
     for i, b in enumerate(blocks):
         if parts[i] is not None:
             continue  # solved with its twin
-        twin = -1 if swap is None else label[swap[b[0]]]
+        twin = label[swap[b[0]]]
         # the swap must map the block onto a whole block; a twin before i
         # failed the symmetry check when it was reached
         if twin < i or blocks[twin].size != b.size \
                 or (label[swap[b]] != twin).any():
-            parts[i] = _complex_part(matrix, b)
+            parts[i] = _complex_part(matrix, b, side)
         elif twin == i:
             parts[i] = _self_twin_part(matrix, b, side, tol)
         else:
             pair = _twin_parts(matrix, b, swap, tol)
             if pair is None:
-                parts[i] = _complex_part(matrix, b)
+                parts[i] = _complex_part(matrix, b, side)
             else:
                 parts[i], parts[twin] = pair
 
@@ -269,9 +255,10 @@ def _eig_by_blocks(matrix):
     start = np.cumsum([0] + sizes)
 
     def eigenvector(k):
-        _, idx, column = parts[owner[k]]
+        _, idx, vecs = parts[owner[k]]
         vec = np.zeros(n, dtype=complex)
-        vec[idx] = column(k - start[owner[k]])
+        if vecs is not None:
+            vec[idx] = vecs[:, k - start[owner[k]]]
         return vec
 
     return vals, eigenvector
@@ -280,8 +267,8 @@ def _eig_by_blocks(matrix):
 def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
     """Fixed point from a precomputed superoperator spectrum.
 
-    ``eigenvector(k)`` returns the right eigenvector of ``vals[k]``.
-    Selects the eigenvalue within ``tol`` of 1 (erroring if that cluster is
+    ``eigenvector(k)`` returns the right eigenvector of ``vals[k]``, or
+    any vector of trace 0 where no trace-1 fixed point can live.  Selects the eigenvalue within ``tol`` of 1 (erroring if that cluster is
     degenerate), Hermitian-symmetrizes its eigenvector, trace-normalizes,
     and validates positivity and the self-consistency residual under the
     full superoperator.  Positivity failures are surfaced, never repaired.
@@ -340,36 +327,27 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     peripheral = int(np.count_nonzero(mods > 1.0 - tol))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
     if peripheral == 0:
-        return ConvergenceReport(
-            relaxing=False,
-            reason="no eigenvalue reaches the unit circle; the matrix is "
-                   "not a trace-preserving channel",
-            fixed_point=None, spectral_gap=gap, peripheral_count=0,
-            iterations_used=0, residual=float("inf"),
-        )
-    if peripheral > 1:
-        return ConvergenceReport(
-            relaxing=False,
-            reason=f"{peripheral} eigenvalues within {tol:.0e} of the unit "
-                   "circle; iterates do not forget the initial state",
-            fixed_point=None, spectral_gap=gap, peripheral_count=peripheral,
-            iterations_used=0, residual=float("inf"),
-        )
-    try:
-        rho, residual = _extract_fixed_point(sop, vals, eigenvector, tol)
-    except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
-        return ConvergenceReport(
-            relaxing=False,
-            reason=f"unique peripheral eigenvalue but fixed-point "
-                   f"extraction failed: {exc}",
-            fixed_point=None, spectral_gap=gap, peripheral_count=1,
-            iterations_used=0, residual=float("inf"),
-        )
+        reason = ("no eigenvalue reaches the unit circle; the matrix is not "
+                  "a trace-preserving channel")
+    elif peripheral > 1:
+        reason = (f"{peripheral} eigenvalues within {tol:.0e} of the unit "
+                  "circle; iterates do not forget the initial state")
+    else:
+        try:
+            rho, residual = _extract_fixed_point(sop, vals, eigenvector, tol)
+        except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
+            reason = ("unique peripheral eigenvalue but fixed-point "
+                      f"extraction failed: {exc}")
+        else:
+            return ConvergenceReport(
+                relaxing=True,
+                reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
+                fixed_point=rho, spectral_gap=gap, peripheral_count=1,
+                iterations_used=0, residual=residual,
+            )
     return ConvergenceReport(
-        relaxing=True,
-        reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
-        fixed_point=rho, spectral_gap=gap, peripheral_count=1,
-        iterations_used=0, residual=residual,
+        relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
+        peripheral_count=peripheral, iterations_used=0, residual=float("inf"),
     )
 
 
@@ -470,15 +448,10 @@ def haag_mixture_check(sop_relaxing, sop_other, p):
     report = is_relaxing(mixture)
     if report.relaxing:
         return report
-    return ConvergenceReport(
-        relaxing=False,
+    return replace(
+        report,
         reason="theorem violation: mixture containing a relaxing channel "
                f"with weight {p} reported non-relaxing ({report.reason})",
-        fixed_point=report.fixed_point,
-        spectral_gap=report.spectral_gap,
-        peripheral_count=report.peripheral_count,
-        iterations_used=report.iterations_used,
-        residual=report.residual,
     )
 
 

@@ -12,7 +12,7 @@ Sums over graph edges run over unordered pairs, each edge counted once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,14 +69,12 @@ class NetworkSpec:
 
     ``model`` is ``"swap"`` (qudit swap network, any ``local_dim``) or
     ``"xxz"`` (anisotropic Heisenberg, qubits only, anisotropy ``delta``).
-    ``bath_sites`` lists ``(label, site)`` attachments, at most one per site.
     """
 
     graph: CouplingGraph
     local_dim: int = 2
     model: str = "swap"
     delta: float | None = None
-    bath_sites: tuple[tuple[str, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.local_dim < 2:
@@ -94,15 +92,6 @@ class NetworkSpec:
                 raise ValueError("xxz model requires an anisotropy delta")
         elif self.delta is not None:
             raise ValueError("delta is only meaningful for the xxz model")
-        used = set()
-        for label, site in self.bath_sites:
-            if not 0 <= site < self.graph.n_sites:
-                raise ValueError(
-                    f"bath {label!r} attached to invalid site {site}"
-                )
-            if site in used:
-                raise ValueError(f"more than one bath attached to site {site}")
-            used.add(site)
 
     @property
     def n_sites(self):

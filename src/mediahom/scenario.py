@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -85,27 +84,16 @@ def _initial_state(cfg, dim, seed=None):
     spec = cfg.initial_state
     if spec == "ground":
         return qmath.projector(qmath.basis_ket(dim, 0))
-    if spec == "random" or (isinstance(spec, dict) and "random_seed" in spec):
-        if isinstance(spec, dict):
-            seed = spec["random_seed"] if seed is None else seed
-        if seed is None:
-            raise ConfigError(
-                "initial_state: 'random' needs a seed (config random_seed "
-                "or the --seed flag)"
-            )
-        return qmath.random_density(dim, np.random.default_rng(seed))
-    from .config import parse_matrix  # local import to avoid cycle at load
-
-    matrix = parse_matrix(spec["matrix"], "initial_state.matrix")
-    if matrix.shape[0] != dim:
+    if isinstance(spec, dict) and "matrix" in spec:
+        return spec["matrix"]  # parsed and checked by parse_config
+    if isinstance(spec, dict):
+        seed = spec["random_seed"] if seed is None else seed
+    if seed is None:
         raise ConfigError(
-            f"initial_state.matrix: dimension {matrix.shape[0]} does not "
-            f"match system dimension {dim}"
+            "initial_state: 'random' needs a seed (config random_seed "
+            "or the --seed flag)"
         )
-    try:
-        return qmath.ensure_density(matrix)
-    except ValueError as exc:
-        raise ConfigError(f"initial_state.matrix: {exc}") from exc
+    return qmath.random_density(dim, np.random.default_rng(seed))
 
 
 def build_scenario_channel(cfg):
@@ -124,11 +112,9 @@ def build_scenario_channel(cfg):
     ]
     unitary = joint_unitary(h_sys, terms, cfg.t, cfg.two_bath_mode)
     if n_baths == 0:
-        return CollisionChannel(unitary, np.eye(1), (1,), cfg.t)
+        return CollisionChannel(unitary, np.eye(1), (1,))
     ancilla = qmath.tensor([b.state for b in cfg.baths])
-    return CollisionChannel(
-        unitary, ancilla, (cfg.local_dim,) * n_baths, cfg.t
-    )
+    return CollisionChannel(unitary, ancilla, (cfg.local_dim,) * n_baths)
 
 
 def _concurrence_12(state, cfg):
@@ -308,31 +294,14 @@ def _sweep_point(args):
         return [("error", f"{type(exc).__name__}: {exc}")]
 
 
-def _resolve_jobs(jobs):
-    if jobs is None:
-        env = os.environ.get("MEDIAHOM_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"jobs: MEDIAHOM_JOBS must be an integer, got {env!r}"
-                ) from None
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
-    return jobs
-
-
-def sweep(cfg, param=None, values=None, jobs=None, seed=None, tol=None,
+def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
           max_iter=None):
     """Rerun a scenario across parameter values; one block of rows each.
 
     ``param``/``values`` default to the config's own sweep section.  Points
-    run in parallel when ``jobs`` (or ``MEDIAHOM_JOBS``) exceeds 1, but the
-    output rows always follow the input value order.  Per-point failures
-    are recorded in the status column; only config errors abort.
+    run in parallel when ``jobs`` exceeds 1, but the output rows always
+    follow the input value order.  Per-point failures are recorded in the
+    status column; only config errors abort.
     """
     if param is None or values is None:
         if cfg.sweep is None:
@@ -349,7 +318,8 @@ def sweep(cfg, param=None, values=None, jobs=None, seed=None, tol=None,
     # are not.
     parse_config(set_by_path(cfg.raw, param, values[0]))
 
-    jobs = _resolve_jobs(jobs)
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     started = time.perf_counter()
     tasks = [(cfg.raw, param, v, seed, tol, max_iter) for v in values]
     if jobs == 1 or len(values) == 1:

@@ -50,6 +50,11 @@ SUPEROPERATOR_DIM_LIMIT = 64
 # ancillas exceeds this; the dense joint unitary alone would pass 256 MB.
 JOINT_DIM_LIMIT = 4096
 
+# A trajectory analysis keeps every state it visits; configs are refused
+# when its (steps + 1) * D**2 matrix entries exceed this, the size of the
+# largest joint unitary above.
+TRAJECTORY_ENTRIES_LIMIT = JOINT_DIM_LIMIT ** 2
+
 # A linspace sweep may ask for at most this many points.
 SWEEP_POINTS_LIMIT = 100_000
 

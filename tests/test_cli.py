@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,10 +27,13 @@ def write_config(tmp_path, name="scenario.json", **overrides):
     return path
 
 
+SRC = os.path.dirname(os.path.dirname(mediahom.__file__))
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
 def run_module(module, *args):
     """``python -m <module> <args>`` in a subprocess that imports src/."""
-    src = os.path.dirname(os.path.dirname(mediahom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env, timeout=120,
@@ -108,13 +112,10 @@ def test_sweep_without_section_fails(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_sweep_honors_jobs_env(tmp_path, monkeypatch):
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep={"param": "t", "values": [0.2, 0.4]})
-    out = tmp_path / "sweep.csv"
-    monkeypatch.setenv("MEDIAHOM_JOBS", "2")
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    comments = [l for l in out.read_text().splitlines() if l.startswith("# ")]
-    assert "# jobs: 2" in comments
+    assert main(["sweep", "--config", str(cfg), "--jobs", "0"]) == 2
+    assert "config error: jobs: " in capsys.readouterr().err
 
 
 def test_spectrum_overrides_analysis(tmp_path):
@@ -162,6 +163,44 @@ def test_bad_index_exits_2(tmp_path, capsys, command, overrides, field):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [
+    0.5,
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[1.0 if i == j else 0.0 for j in range(8)] for i in range(8)],
+], ids=["not_a_list", "wrong_dimension", "not_a_state"])
+def test_check_refuses_bad_initial_matrix(tmp_path, capsys, matrix):
+    # the bundled 3-site chain: its states are 8 x 8 of trace 1
+    raw = json.loads((CONFIGS / "swap_chain_homogenization.json").read_text())
+    raw["initial_state"] = {"matrix": matrix}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "config error: initial_state.matrix" in capsys.readouterr().err
+
+
+def test_huge_trajectory_exits_2(tmp_path):
+    # refused at parse time, before the states are allocated
+    cfg = write_config(tmp_path, analysis={"trajectory": 10**12})
+    proc = run_module("mediahom", "run", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "config error: analysis.trajectory: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only a test dependency; importing scipy.sparse alone would
+    # add about half a second to every start
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mediahom; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
 
 
 def test_non_finite_channel_exits_1(tmp_path):

@@ -49,14 +49,14 @@ def test_zero_time_channel_is_identity(rng):
 def test_full_swap_replaces_state(rng):
     # the swap unitary itself as the collision: output is always omega
     omega = qmath.random_density(2, rng)
-    ch = CollisionChannel(SWAP2, omega, (2,), 1.0)
+    ch = CollisionChannel(SWAP2, omega, (2,))
     for _ in range(3):
         rho = qmath.random_density(2, rng)
         assert np.abs(ch.apply(rho) - omega).max() < 1e-12
 
 
 def test_full_swap_ground_ancilla_kraus_set():
-    ch = CollisionChannel(SWAP2, ZERO, (2,), 1.0)
+    ch = CollisionChannel(SWAP2, ZERO, (2,))
     kraus = ch.kraus_operators()
     assert kraus.shape == (2, 2, 2)
     # {|0><0|, |0><1|} up to order
@@ -120,7 +120,7 @@ def test_superoperator_identity_and_constant_maps(rng):
 
     omega = qmath.random_density(2, rng)
     vals = np.linalg.eigvals(
-        CollisionChannel(SWAP2, omega, (2,), 1.0).superoperator().matrix
+        CollisionChannel(SWAP2, omega, (2,)).superoperator().matrix
     )
     vals = vals[np.argsort(-np.abs(vals))]
     # a constant map has spectrum {1, 0, 0, 0}
@@ -142,7 +142,7 @@ def test_superoperator_agrees_with_apply(rng):
 def test_superoperator_equals_kron_sum(rng, dim):
     # the batched build against the defining sum of kron(K, conj(K))
     ch = CollisionChannel(qmath.random_unitary(3 * dim, rng),
-                          qmath.random_density(3, rng), (3,), 1.0)
+                          qmath.random_density(3, rng), (3,))
     expected = sum(np.kron(k, k.conj()) for k in ch.kraus_operators())
     assert np.abs(ch.superoperator().matrix - expected).max() < 1e-15
 
@@ -303,7 +303,7 @@ def test_joint_unitary_forms(rng):
     with np.errstate(over="ignore", invalid="ignore"):
         overflowed = joint_unitary(h_sys, [h_b], 1e308)
         with pytest.raises(ValueError, match="not unitary: defect nan"):
-            CollisionChannel(overflowed, np.eye(4) / 4, (2, 2), 1e308)
+            CollisionChannel(overflowed, np.eye(4) / 4, (2, 2))
         with pytest.raises(ValueError, match="not unitary: defect nan"):
             imperfect_controller_sequence(h_sys, SWAP2, 1e308, seq)
 
@@ -363,7 +363,7 @@ def test_capacity_guard_on_superoperator():
     # system dim 128 > 64: building the channel is fine, the dense
     # superoperator is refused
     dim = 128
-    ch = CollisionChannel(np.eye(2 * dim), ZERO, (2,), 0.0)
+    ch = CollisionChannel(np.eye(2 * dim), ZERO, (2,))
     assert ch.system_dim == dim
     with pytest.raises(CapacityError):
         ch.superoperator()
@@ -371,17 +371,15 @@ def test_capacity_guard_on_superoperator():
 
 def test_channel_construction_errors(rng):
     with pytest.raises(ValueError):
-        CollisionChannel(np.eye(4) * 2.0, ZERO, (2,), 1.0)  # not unitary
+        CollisionChannel(np.eye(4) * 2.0, ZERO, (2,))  # not unitary
     with pytest.raises(ValueError):
-        CollisionChannel(np.full((4, 4), np.nan), ZERO, (2,), 1.0)  # NaN defect
+        CollisionChannel(np.full((4, 4), np.nan), ZERO, (2,))  # NaN defect
     with pytest.raises(ValueError):
-        CollisionChannel(SWAP2, np.diag([2.0, -1.0]), (2,), 1.0)  # bad state
+        CollisionChannel(SWAP2, np.diag([2.0, -1.0]), (2,))  # bad state
     with pytest.raises(ShapeError):
-        CollisionChannel(SWAP2, ZERO, (3,), 1.0)  # dims mismatch the state
+        CollisionChannel(SWAP2, ZERO, (3,))  # dims mismatch the state
     with pytest.raises(ShapeError):
-        CollisionChannel(np.eye(6), ZERO, (4,), 1.0)  # 6 not divisible by 4
-    with pytest.raises(ValueError):
-        CollisionChannel(SWAP2, ZERO, (2,), -0.5)  # negative time
+        CollisionChannel(np.eye(6), ZERO, (4,))  # 6 not divisible by 4
     with pytest.raises(ValueError):
         build_channel(np.zeros((2, 2)), SWAP2, ZERO, -1.0)
     with pytest.raises(ShapeError):
@@ -413,7 +411,7 @@ def test_random_channels_stay_cptp(seed, dim, anc, pure, steps):
     omega = (qmath.projector(qmath.random_pure_state(anc, rng)) if pure
              else qmath.random_density(anc, rng))
     channel = CollisionChannel(
-        qmath.random_unitary(dim * anc, rng), omega, (anc,), 1.0
+        qmath.random_unitary(dim * anc, rng), omega, (anc,)
     )
     # completely positive: the Choi matrix, reshuffled from the
     # superoperator rather than read off the Kraus stack, is PSD

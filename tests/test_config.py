@@ -15,6 +15,7 @@ from mediahom.config import (
     set_by_path,
 )
 from mediahom.errors import ConfigError
+from mediahom.tolerances import TRAJECTORY_ENTRIES_LIMIT
 
 
 def base_raw(**overrides):
@@ -50,7 +51,6 @@ def test_parse_config_round_trip():
     # derived spec reuses the validated pieces
     spec = cfg.network_spec()
     assert spec.n_sites == 3
-    assert spec.bath_sites == (("bath0", 2),)
 
 
 def test_digest_is_stable_and_order_insensitive():
@@ -212,12 +212,23 @@ def test_initial_state_forms():
     assert parse_config(base_raw(initial_state="random")).initial_state == "random"
     cfg = parse_config(base_raw(initial_state={"random_seed": 7}))
     assert cfg.initial_state == {"random_seed": 7}
-    cfg = parse_config(base_raw(
-        initial_state={"matrix": [[1.0, 0.0], [0.0, 0.0]]}
-    ))
-    assert cfg.initial_state == {"matrix": [[1.0, 0.0], [0.0, 0.0]]}
+    # parsed against the 3-site chain's dimension 8
+    ground = np.zeros((8, 8))
+    ground[0, 0] = 1.0
+    cfg = parse_config(base_raw(initial_state={"matrix": ground.tolist()}))
+    assert np.array_equal(cfg.initial_state["matrix"], ground)
     with pytest.raises(ConfigError):
         parse_config(base_raw(initial_state={"random_seed": "x"}))
+
+
+def test_trajectory_storage_limit():
+    # the 3-site chain stores 64 entries per state
+    steps = TRAJECTORY_ENTRIES_LIMIT // 64 - 1
+    assert parse_config(base_raw(analysis={"trajectory": steps})).analysis_arg \
+        == steps
+    for too_many in (steps + 1, 10**12):
+        with pytest.raises(ConfigError, match="analysis.trajectory"):
+            parse_config(base_raw(analysis={"trajectory": too_many}))
 
 
 def test_tolerance_overrides():

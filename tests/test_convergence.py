@@ -83,7 +83,7 @@ def test_is_relaxing_identity_channel(rng):
 def test_is_relaxing_constant_channel(rng):
     omega = qmath.random_density(2, rng)
     report = is_relaxing(
-        CollisionChannel(SWAP2, omega, (2,), 1.0).superoperator()
+        CollisionChannel(SWAP2, omega, (2,)).superoperator()
     )
     assert report.relaxing
     assert report.peripheral_count == 1
@@ -159,9 +159,13 @@ def test_blocked_spectrum_matches_dense_oracle(case):
         linked, directed=True, connection="weak"
     )
     assert (n_blocks > 1) == splits
-    if splits:
-        for k in range(vals.size):
-            assert np.unique(labels[np.flatnonzero(eigenvector(k))]).size == 1
+    owner = eigenvalue_owner(labels)
+    diagonal = diagonal_blocks(labels, sop.dim)
+    for k in range(vals.size):
+        support = np.unique(labels[np.flatnonzero(eigenvector(k))])
+        # a vector only for blocks that hold a diagonal entry, on that block
+        expected = [owner[k]] if owner[k] in diagonal else []
+        assert support.tolist() == expected
 
     report = is_relaxing(sop)
     assert report.relaxing
@@ -175,6 +179,25 @@ def test_blocked_spectrum_matches_dense_oracle(case):
     )
     assert np.abs(report.fixed_point - dense_rho).max() < 1e-12
     assert np.abs(spectral_fixed_point(sop) - dense_rho).max() < 1e-12
+
+
+def eigenvalue_owner(labels):
+    """Block label of each eigenvalue that ``_eig_by_blocks`` returns.
+
+    The blocks' eigenvalues are concatenated with the blocks ordered by
+    their smallest index.
+    """
+    first = {label: np.flatnonzero(labels == label)[0]
+             for label in np.unique(labels)}
+    order = sorted(first, key=first.get)
+    return np.concatenate(
+        [np.full(np.count_nonzero(labels == label), label) for label in order]
+    )
+
+
+def diagonal_blocks(labels, side):
+    """Labels of the blocks that hold a diagonal entry ``(i, i)``."""
+    return set(labels[np.arange(side) * (side + 1)].tolist())
 
 
 def swap_permutation(side):
@@ -223,17 +246,25 @@ def test_real_form_and_twins_against_dense_oracle(case):
         assert np.abs(real - t.conj().T @ b @ t).max() < 1e-15
         assert np.abs(real.imag).max() <= 1e-15
 
-    # every eigenvector the lookup serves, eager or built on request
+    # every eigenvector of a block that holds a diagonal entry, and none
+    # of any other block
     vals, eigenvector = convergence._eig_by_blocks(matrix)
     norm = np.linalg.norm(matrix, 2)
-    owner = np.empty(vals.size, dtype=int)
+    owner = eigenvalue_owner(labels)
+    diagonal = diagonal_blocks(labels, side)
     for k in range(vals.size):
         vec = eigenvector(k)
+        support = np.unique(labels[np.flatnonzero(vec)])
+        if owner[k] not in diagonal:
+            assert support.size == 0
+            continue
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
         assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
-        support = np.unique(labels[np.flatnonzero(vec)])
-        assert support.size == 1
-        owner[k] = support[0]
+        assert support.tolist() == [owner[k]]
+    for label in np.unique(labels):
+        block = np.flatnonzero(labels == label)
+        assert_same_multiset(vals[owner == label],
+                             np.linalg.eigvals(matrix[np.ix_(block, block)]))
 
     # twins: block P b holds exactly the conjugates of block b's eigenvalues
     twins = 0
@@ -245,8 +276,13 @@ def test_real_form_and_twins_against_dense_oracle(case):
                                   np.sort_complex(vals[owner == label].conj()))
     assert (twins > 0) == has_twins
 
-    dense = np.linalg.eigvals(matrix)
-    dist = np.abs(vals[:, None] - dense[None, :])
+    assert_same_multiset(vals, np.linalg.eigvals(matrix))
+
+
+def assert_same_multiset(vals, oracle):
+    """Equal eigenvalue multisets, paired by a minimum-distance matching."""
+    assert vals.shape == oracle.shape
+    dist = np.abs(vals[:, None] - oracle[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() < 1e-12
 
@@ -281,10 +317,37 @@ def test_identity_channel_counts_every_singleton_block(dim):
     sop = Superoperator(dim=dim, matrix=np.eye(dim * dim, dtype=complex))
     vals, eigenvector = convergence._eig_by_blocks(sop.matrix)
     assert np.array_equal(vals, np.ones(dim * dim))
-    assert np.count_nonzero(eigenvector(dim)) == 1
+    # index dim + 1 is the diagonal entry (1, 1), index dim is (1, 0)
+    assert np.count_nonzero(eigenvector(dim + 1)) == 1
+    assert not eigenvector(dim).any()
     report = is_relaxing(sop)
     assert not report.relaxing
     assert report.peripheral_count == dim * dim
+
+
+@pytest.mark.parametrize("coherences", [
+    [[0.5, 0.5], [0.5, 0.5]],   # a self-twin block, real form
+    [[1.0, 0.0], [0.0, 0.5]],   # twins that fail the check, complex eig
+], ids=["self_twin", "failed_twins"])
+def test_eigenvalue_one_without_diagonal_entry_is_traceless(coherences):
+    # eigenvalue 1 in the block of the coherences (0, 1) and (1, 0): its
+    # eigenvector has trace 0, so there is no fixed point to extract
+    matrix = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    matrix[1:3, 1:3] = coherences
+    sop = Superoperator(dim=2, matrix=matrix)
+    report = is_relaxing(sop)
+    assert not report.relaxing and report.peripheral_count == 1
+    assert "fixed-point eigenvector is traceless" in report.reason
+    with pytest.raises(FixedPointNumericalError, match="traceless"):
+        spectral_fixed_point(sop)
+
+
+def test_superoperator_shape_checked_at_construction():
+    # a 9 x 9 matrix is a channel on 3 x 3 states, not on 2 x 2 ones
+    with pytest.raises(ShapeError, match=r"\(9, 9\).*\(4, 4\)"):
+        Superoperator(dim=2, matrix=np.eye(9))
+    with pytest.raises(ShapeError):
+        Superoperator(dim=2, matrix=np.eye(4)[:3])
 
 
 def test_non_finite_superoperator_raises():
@@ -320,7 +383,7 @@ def test_iterative_fixed_point_on_constant_channel(rng):
     # one collision lands exactly on the fixed point; detection needs at
     # most one more step to see a zero residual
     omega = qmath.random_density(2, rng)
-    ch = CollisionChannel(SWAP2, omega, (2,), 1.0)
+    ch = CollisionChannel(SWAP2, omega, (2,))
     rho, used = iterative_fixed_point(ch, qmath.random_density(2, rng))
     assert used <= 2
     assert np.abs(rho - omega).max() < 1e-12
@@ -456,7 +519,7 @@ def test_stacked_states_follow_the_per_state_loop(rng, dim):
     # one pass over a stacked pair of states gives, bit for bit, the states
     # and the forgetting series of one kernel call per state and channel
     chans = [CollisionChannel(qmath.random_unitary(2 * dim, rng),
-                              qmath.random_density(2, rng), (2,), 1.0)
+                              qmath.random_density(2, rng), (2,))
              for _ in range(30)]
     rho1, rho2 = (qmath.random_density(dim, rng) for _ in range(2))
     loops = []

@@ -42,10 +42,6 @@ def test_network_spec_validation():
         network.NetworkSpec(g, model="xxz", local_dim=3, delta=1.0)
     with pytest.raises(ValueError):
         network.NetworkSpec(g, model="swap", delta=1.0)  # delta meaningless
-    with pytest.raises(ValueError):
-        network.NetworkSpec(g, bath_sites=(("B", 5),))
-    with pytest.raises(ValueError):
-        network.NetworkSpec(g, bath_sites=(("B", 1), ("C", 1)))
     spec = network.NetworkSpec(g, local_dim=3)
     assert spec.dims == [3, 3, 3]
 

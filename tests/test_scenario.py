@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mediahom import qmath
@@ -235,17 +237,25 @@ def test_sweep_defaults_from_config_section():
         sweep(plain)  # no sweep section and no explicit parameter
 
 
-def test_sweep_env_var_controls_jobs(monkeypatch):
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(param=st.sampled_from(["t", "baths.0.state.diag"]),
+       values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
+def test_sweep_body_same_serial_and_parallel(param, values):
+    # jobs=2 starts at most 2 worker processes per sweep
     cfg = parse_config(swap_chain_raw())
-    monkeypatch.setenv("MEDIAHOM_JOBS", "2")
-    table = sweep(cfg, param="t", values=[0.3, 0.6])
-    assert table.metadata["jobs"] == "2"
-    monkeypatch.setenv("MEDIAHOM_JOBS", "0")
-    with pytest.raises(ConfigError):
-        sweep(cfg, param="t", values=[0.3])
-    monkeypatch.setenv("MEDIAHOM_JOBS", "banana")  # non-numeric must not traceback
-    with pytest.raises(ConfigError, match="MEDIAHOM_JOBS"):
-        sweep(cfg, param="t", values=[0.3])
+    bodies = []
+    for jobs in (1, 2):
+        buf = io.StringIO()
+        emit_csv(sweep(cfg, param=param, values=values, jobs=jobs), buf)
+        bodies.append([line for line in buf.getvalue().splitlines()
+                       if not line.startswith("# ")])
+    assert bodies[0] == bodies[1]
+
+
+def test_sweep_rejects_jobs_below_one():
+    cfg = parse_config(swap_chain_raw())
+    with pytest.raises(ConfigError, match="jobs"):
+        sweep(cfg, param="t", values=[0.3], jobs=0)
 
 
 def test_sweep_bad_path_aborts():
