@@ -123,16 +123,16 @@ def _real_form(entries, p, h):
     return entries
 
 
-def _from_real_form(vecs, p, h):
-    """``T vecs``: real-form eigenvector columns in the block's coordinates."""
-    sym, anti = vecs[p:p + h], 1j * vecs[p + h:]
+def _from_real_form(vec, p, h):
+    """``T vec``: a real-form eigenvector in the block's own coordinates."""
+    sym, anti = vec[p:p + h], 1j * vec[p + h:]
     return np.concatenate(
-        [vecs[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
+        [vec[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
     )
 
 
 # Each block becomes a part: (eigenvalues, the matrix indices they live on,
-# their eigenvectors as columns on those indices or None).
+# column(j) = eigenvector of eigenvalue j on those indices, or None).
 
 def _complex_part(matrix, idx, side):
     """The complex eig of the block on sorted indices ``idx``.
@@ -144,7 +144,7 @@ def _complex_part(matrix, idx, side):
     if not (idx % (side + 1) == 0).any():
         return np.linalg.eigvals(block), idx, None
     vals, vecs = np.linalg.eig(block)
-    return vals, idx, vecs
+    return vals, idx, lambda j: vecs[:, j]
 
 
 def _self_twin_part(matrix, block, side, tol):
@@ -161,7 +161,8 @@ def _self_twin_part(matrix, block, side, tol):
     if not p:
         return np.linalg.eigvals(real), idx, None
     vals, vecs = np.linalg.eig(real)
-    return vals, idx, _from_real_form(vecs, p, h)
+    # one column at a time: T vecs whole would be a second complex n x n
+    return vals, idx, lambda j: _from_real_form(vecs[:, j], p, h)
 
 
 def _twin_parts(matrix, block, swap, tol):
@@ -255,10 +256,10 @@ def _eig_by_blocks(matrix):
     start = np.cumsum([0] + sizes)
 
     def eigenvector(k):
-        _, idx, vecs = parts[owner[k]]
+        _, idx, column = parts[owner[k]]
         vec = np.zeros(n, dtype=complex)
-        if vecs is not None:
-            vec[idx] = vecs[:, k - start[owner[k]]]
+        if column is not None:
+            vec[idx] = column(k - start[owner[k]])
         return vec
 
     return vals, eigenvector

@@ -252,12 +252,6 @@ def test_sweep_body_same_serial_and_parallel(param, values):
     assert bodies[0] == bodies[1]
 
 
-def test_sweep_rejects_jobs_below_one():
-    cfg = parse_config(swap_chain_raw())
-    with pytest.raises(ConfigError, match="jobs"):
-        sweep(cfg, param="t", values=[0.3], jobs=0)
-
-
 def test_sweep_bad_path_aborts():
     cfg = parse_config(swap_chain_raw())
     with pytest.raises(ConfigError):
