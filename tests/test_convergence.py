@@ -312,6 +312,19 @@ def test_non_hermiticity_preserving_matrix_matches_dense_eig(mirrored_blocks):
         assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
 
 
+def test_complex_route_serves_diagonal_block_vectors():
+    # a random matrix fails the symmetry check and is one block holding
+    # every diagonal entry, so its complex eig serves every eigenvector
+    rng = np.random.default_rng(7)
+    matrix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    vals, eigenvector = convergence._eig_by_blocks(matrix)
+    norm = np.linalg.norm(matrix, 2)
+    for k in range(vals.size):
+        vec = eigenvector(k)
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
+
+
 @pytest.mark.parametrize("dim", [2, 8])
 def test_identity_channel_counts_every_singleton_block(dim):
     sop = Superoperator(dim=dim, matrix=np.eye(dim * dim, dtype=complex))
@@ -335,6 +348,9 @@ def test_eigenvalue_one_without_diagonal_entry_is_traceless(coherences):
     matrix = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     matrix[1:3, 1:3] = coherences
     sop = Superoperator(dim=2, matrix=matrix)
+    # eigenvalues 1 and 2 are those of the coherences; no vector is served
+    _, eigenvector = convergence._eig_by_blocks(matrix)
+    assert not eigenvector(1).any() and not eigenvector(2).any()
     report = is_relaxing(sop)
     assert not report.relaxing and report.peripheral_count == 1
     assert "fixed-point eigenvector is traceless" in report.reason
