@@ -1,8 +1,15 @@
 """Hot collision loops: Kraus application, trajectories, fixed-point iteration.
 
-All functions take a complex128 Kraus stack of shape (m, D, D).  The
-iterations decide convergence by the exact trace norm, but screen it with
-the Frobenius norm first: ``||X||_F <= ||X||_1``, so a Frobenius norm
+All functions take a complex128 Kraus stack of shape (m, D, D).  One
+collision is two matrix products over the whole stack: ``W = K rho`` with
+the operators stacked as rows, shape (m D, D), then ``W`` regrouped to
+(D, m D) times the adjoints stacked the same way, which sums the m terms
+``K_k rho K_k^dag`` inside the second product.  Call overhead, not
+arithmetic, sets the cost of a collision at the dimensions iterated here,
+so the fewer numpy calls the better.
+
+The iterations decide convergence by the exact trace norm, but screen it
+with the Frobenius norm first: ``||X||_F <= ||X||_1``, so a Frobenius norm
 above the tolerance already proves the step has not converged and the
 ``eigvalsh`` is skipped.  Collision counts and reported residuals are those
 of an exact check at every step.
@@ -28,6 +35,17 @@ def hermitian_trace_norm(a: np.ndarray):
     return norms if norms.ndim else float(norms)
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||X||_F of each matrix of a C-contiguous complex (P, D, D) stack.
+
+    One product of each flattened matrix, as reals, with itself: cheaper in
+    calls than ``np.linalg.norm`` over two axes.  Squares that underflow
+    only lower a norm, which sends it on to the exact check.
+    """
+    flat = stack.reshape(len(stack), 1, -1).view(np.float64)
+    return np.sqrt(flat @ flat.swapaxes(1, 2)).ravel()
+
+
 def _screened_norm(diff: np.ndarray, tol: float) -> float:
     """``hermitian_trace_norm(diff)`` when it may be <= tol, else inf.
 
@@ -39,42 +57,102 @@ def _screened_norm(diff: np.ndarray, tol: float) -> float:
     return hermitian_trace_norm(diff)
 
 
+def _two_product_form(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Kraus stack (..., m, D, D) as its operators and its adjoints,
+    each stacked as rows, shape (..., m D, D)."""
+    *lead, m, d, _ = kraus.shape
+    rows = kraus.reshape(*lead, m * d, d)
+    adjoints = kraus.conj().swapaxes(-1, -2).reshape(*lead, m * d, d)
+    return rows, adjoints
+
+
+def _collide(rows: np.ndarray, adjoints: np.ndarray,
+             rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag from :func:`_two_product_form`'s stacks."""
+    d = rho.shape[-1]
+    w = rows @ rho                                  # block k is K_k rho
+    *lead, md, _ = w.shape
+    # row i of the regrouped W is (K_1 rho)[i], ..., (K_m rho)[i]
+    w = w.reshape(*lead, md // d, d, d).swapaxes(-3, -2).reshape(*lead, d, md)
+    return w @ adjoints
+
+
 def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k^dag; a stack of states (n, D, D) maps state by state."""
-    if rho.ndim == 3:
-        kraus = kraus[:, None]
-    return (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=0)
+    return _collide(*_two_product_form(kraus), rho)
 
 
 def trajectory(kraus: np.ndarray, rho0: np.ndarray, n: int) -> np.ndarray:
     """States after 0..n applications, shape (n+1, D, D)."""
+    rows, adjoints = _two_product_form(kraus)
     d = rho0.shape[0]
     out = np.empty((n + 1, d, d), dtype=complex)
     out[0] = rho0
     for k in range(n):
-        out[k + 1] = apply_kraus(kraus, out[k])
+        out[k + 1] = _collide(rows, adjoints, out[k])
     return out
 
 
-def iterate_until(
-    kraus: np.ndarray, rho0: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, int, float, bool]:
+def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,
+                  max_iter: int):
     """Iterate until the step-to-step trace-norm residual drops below tol.
 
     Returns (state, iterations, last residual, converged).  Without
     convergence the residual is the exact trace norm of the last step, or
     inf when no step ran.
+
+    A stack of P channels of one system dimension, ``kraus`` of shape
+    (P, m, D, D) with ``rho0`` of shape (P, D, D), iterates in lockstep and
+    returns the four as arrays over the P points.  Each collision is then
+    one pair of products shared by the points still iterating; a point
+    leaves the stack at its first collision with an exact residual <= tol.
+    Every point's arithmetic is that of iterating it alone, so its state,
+    count and residual are the same.  Zero Kraus operators, which pad
+    stacks of lower rank, add exact zeros to its sums.
     """
+    single = kraus.ndim == 3
+    if single:
+        kraus, rho0 = kraus[None], np.asarray(rho0)[None]
+    rows, adjoints = _two_product_form(kraus)
     rho = np.array(rho0, dtype=complex)
-    diff = None
+    states = np.empty_like(rho)
+    p = len(rho)
+    used = np.full(p, max_iter)
+    residuals = np.full(p, np.inf)
+    converged = np.zeros(p, dtype=bool)
+    active = np.arange(p)
     for k in range(1, max_iter + 1):
-        nxt = apply_kraus(kraus, rho)
+        nxt = _collide(rows, adjoints, rho)
         diff, rho = nxt - rho, nxt
-        residual = _screened_norm(diff, tol)
-        if residual <= tol:
-            return rho, k, residual, True
-    residual = np.inf if diff is None else hermitian_trace_norm(diff)
-    return rho, max_iter, residual, False
+        norms = _frobenius_norms(diff)
+        # a NaN norm fails both comparisons and goes to the exact check
+        if norms.min() > tol:
+            continue
+        near = np.flatnonzero(~(norms > tol))
+        exact = hermitian_trace_norm(diff[near])
+        hit = exact <= tol
+        if not hit.any():
+            continue
+        done = near[hit]
+        points = active[done]
+        states[points] = rho[done]
+        used[points] = k
+        residuals[points] = exact[hit]
+        converged[points] = True
+        stay = np.ones(len(active), dtype=bool)
+        stay[done] = False
+        active, rows, adjoints, rho, diff = (
+            active[stay], rows[stay], adjoints[stay], rho[stay], diff[stay]
+        )
+        if not active.size:
+            break
+    if active.size:
+        states[active] = rho
+        if max_iter > 0:
+            residuals[active] = hermitian_trace_norm(diff)
+    if single:
+        return states[0], int(used[0]), float(residuals[0]), bool(converged[0])
+    return states, used, residuals, converged
 
 
 def iterate_to_target(
@@ -90,12 +168,13 @@ def iterate_to_target(
     when the initial state is already within tolerance.  Without
     convergence the distance is the exact trace norm for the last state.
     """
+    rows, adjoints = _two_product_form(kraus)
     rho = np.array(rho0, dtype=complex)
     distance = _screened_norm(rho - target, tol)
     if distance <= tol:
         return rho, 0, distance, True
     for k in range(1, max_iter + 1):
-        rho = apply_kraus(kraus, rho)
+        rho = _collide(rows, adjoints, rho)
         distance = _screened_norm(rho - target, tol)
         if distance <= tol:
             return rho, k, distance, True

@@ -230,17 +230,7 @@ class CollisionChannel:
                 f"state has shape {rho.shape}, channel expects "
                 f"({self.system_dim}, {self.system_dim})"
             )
-        out = apply_kraus(self._kraus, rho)
-        trace_defect = abs(out.trace() - rho.trace())
-        if not trace_defect <= TRACE_ATOL:
-            raise ValueError(
-                f"collision changed the trace by {trace_defect:.3e}"
-            )
-        # inputs off unit trace (differences of states) are not states
-        report = qmath.validate_density(out, 1e-8)
-        if not abs(rho.trace() - 1.0) > 1e-8 and not report.passed:
-            raise ValueError(f"collision output invalid: {report.describe()}")
-        return out
+        return checked_collision(self._kraus, rho)
 
     def iterate(self, rho0, n):
         """States after 0..n collisions, shape ``(n+1, D, D)``."""
@@ -274,6 +264,25 @@ class CollisionChannel:
         conj_rows = np.ascontiguousarray(self._kraus.conj().transpose(1, 0, 2))
         mat = rows[:, None] @ conj_rows[None]
         return Superoperator(dim=d, matrix=mat.reshape(d * d, d * d))
+
+
+def checked_collision(kraus, rho):
+    """One collision of a (D, D) ``rho`` by a Kraus stack, output validated.
+
+    The check of :meth:`CollisionChannel.apply`, for callers that keep a
+    channel's Kraus stack but not its joint unitary.
+    """
+    out = apply_kraus(kraus, rho)
+    trace_defect = abs(out.trace() - rho.trace())
+    if not trace_defect <= TRACE_ATOL:
+        raise ValueError(
+            f"collision changed the trace by {trace_defect:.3e}"
+        )
+    # inputs off unit trace (differences of states) are not states
+    report = qmath.validate_density(out, 1e-8)
+    if not abs(rho.trace() - 1.0) > 1e-8 and not report.passed:
+        raise ValueError(f"collision output invalid: {report.describe()}")
+    return out
 
 
 def joint_unitary(system_hamiltonian, interaction_terms, t,

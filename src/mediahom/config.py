@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,19 @@ def config_digest(raw):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _is_real(value):
+    """A JSON number that converts to a float (booleans excluded).
+
+    An integer beyond the float range does not: ``float`` overflows on it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
+
+
 def _is_finite_number(value):
     """A JSON number other than NaN or +-Infinity (booleans excluded)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_real(value) and math.isfinite(value)
 
 
 def _is_index(value):
@@ -133,13 +143,9 @@ def _require(raw, key, kind, where="config"):
 
 
 def _parse_complex_entry(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list) and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ConfigError(
         f"{where}: matrix entries must be reals or [re, im] pairs, got {value!r}"

@@ -362,25 +362,49 @@ def iterative_fixed_point(channel, rho0, tol=DEFAULT_ITERATE_TOL,
     means slow mixing or non-relaxing dynamics, which :func:`is_relaxing`
     distinguishes.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (channel.system_dim, channel.system_dim):
         raise ShapeError(
             f"state has shape {rho0.shape}, channel expects "
             f"({channel.system_dim}, {channel.system_dim})"
         )
-    rho, used, residual, converged = iterate_until(
-        channel._kraus, rho0, float(tol), int(max_iter)
+    (outcome,) = _iterated_fixed_points([channel._kraus], [rho0], tol,
+                                        max_iter)
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome
+
+
+def _iterated_fixed_points(kraus_stacks, states, tol, max_iter):
+    """:func:`iterative_fixed_point` of channels of one dimension, in lockstep.
+
+    ``kraus_stacks`` are the channels' Kraus stacks and ``states`` their
+    start states.  Stacks of lower rank are padded with zero operators to
+    one rank.  Returns, per channel, ``(state, collisions used)`` or the
+    :class:`ConvergenceError` that :func:`iterative_fixed_point` raises for
+    it; each is what iterating that channel alone gives.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    dim = states[0].shape[-1]
+    padded = np.zeros(
+        (len(kraus_stacks), max(len(k) for k in kraus_stacks), dim, dim),
+        dtype=complex,
     )
-    if not converged:
-        raise ConvergenceError(
+    for stack, kraus in zip(padded, kraus_stacks):
+        stack[:len(kraus)] = kraus
+    states, used, residuals, converged = iterate_until(
+        padded, np.stack(states), float(tol), int(max_iter)
+    )
+    return [
+        (state, int(n)) if ok else ConvergenceError(
             f"no fixed point within {max_iter} collisions (last residual "
             f"{residual:.3e}); slow mixing or non-relaxing dynamics — "
             "consult is_relaxing",
-            residual=residual, iterations=used,
+            residual=float(residual), iterations=int(n),
         )
-    return rho, used
+        for state, n, residual, ok in zip(states, used, residuals, converged)
+    ]
 
 
 def factorized_eigenvector_count(h_total, dims, phi):

@@ -3,7 +3,10 @@
 ``run_scenario`` orchestrates the network builders, channel construction,
 and convergence analyses behind a single declarative config;  ``sweep``
 repeats it across a parameter grid, optionally in parallel, with rows
-always assembled in input order.  ``emit_csv`` serializes tables
+always assembled in input order.  A fixed-point analysis runs in three
+steps: build the channel and its spectral report, iterate the fixed point,
+form the rows.  A sweep iterates consecutive points together (see
+:func:`_sweep_chunk`); ``run_scenario`` is a group of one point.  ``emit_csv`` serializes tables
 deterministically (12 significant digits, metadata in comment lines) so
 identical config + seed reproduces byte-identical output.
 """
@@ -14,14 +17,13 @@ import csv
 import datetime
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
-from .collision import CollisionChannel, joint_unitary
+from .collision import CollisionChannel, checked_collision, joint_unitary
 from .config import ScenarioConfig, parse_config, set_by_path
 from .errors import (
     ConfigError,
@@ -30,6 +32,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .network import interaction_hamiltonian, system_hamiltonian
+from .tolerances import LOCKSTEP_POINTS_LIMIT
 
 _ANALYSIS_COLUMNS = {
     "fixed_point": (
@@ -124,26 +127,55 @@ def _concurrence_12(state, cfg):
     return qmath.concurrence(pair)
 
 
-def _fixed_point_rows(cfg, channel, rho0):
-    report = convergence.is_relaxing(
-        channel.superoperator(), tol=cfg.peripheral_tol
+@dataclass
+class _PendingFixedPoint:
+    """A fixed-point analysis past its spectral step, before its iteration.
+
+    Keeps the channel's Kraus stack, not the channel, so that its joint
+    unitary is freed before the next sweep point is built.
+    """
+
+    cfg: ScenarioConfig
+    kraus: np.ndarray
+    rho0: np.ndarray
+    report: convergence.ConvergenceReport
+
+    @property
+    def group_key(self):
+        """Points iterate together only if these agree."""
+        return self.rho0.shape[0], self.cfg.iterate_tol, self.cfg.max_iter
+
+
+def _iterate(points):
+    """Each point's ``(state, collisions)`` or its ConvergenceError."""
+    return convergence._iterated_fixed_points(
+        [p.kraus for p in points], [p.rho0 for p in points],
+        points[0].cfg.iterate_tol, points[0].cfg.max_iter,
     )
+
+
+def _fixed_point_rows(point, outcome):
+    """Rows of a fixed-point analysis from its iteration's ``outcome``.
+
+    ``outcome`` is ``(state, collisions)``, a ConvergenceError, or any
+    other exception the iteration ended with, which is raised here.
+    """
+    cfg, report = point.cfg, point.report
     status = "ok"
-    collisions, residual = math.nan, math.nan
     state = report.fixed_point
-    try:
-        iterated, collisions = convergence.iterative_fixed_point(
-            channel, rho0, tol=cfg.iterate_tol, max_iter=cfg.max_iter
-        )
+    if isinstance(outcome, ConvergenceError):
+        residual = outcome.residual
+        collisions = outcome.iterations
+        status = f"no convergence: {outcome}"
+    elif isinstance(outcome, Exception):
+        raise outcome
+    else:
+        iterated, collisions = outcome
         residual = float(hermitian_trace_norm(
-            channel.apply(iterated) - iterated
+            checked_collision(point.kraus, iterated) - iterated
         ))
         if state is None:
             state = iterated
-    except ConvergenceError as exc:
-        residual = exc.residual
-        collisions = exc.iterations
-        status = f"no convergence: {exc}"
     if not report.relaxing:
         status = report.reason if status == "ok" else f"{report.reason}; {status}"
 
@@ -237,20 +269,32 @@ def _site_populations_rows(cfg, channel, rho0):
 
 
 _ANALYSIS_RUNNERS = {
-    "fixed_point": _fixed_point_rows,
     "trajectory": _trajectory_rows,
     "spectrum": _spectrum_rows,
     "site_populations": _site_populations_rows,
 }
 
 
+def _prepare(cfg, seed):
+    """A point's rows, or its pending iteration for a fixed-point analysis."""
+    channel = build_scenario_channel(cfg)
+    rho0 = _initial_state(cfg, channel.system_dim, seed)
+    if cfg.analysis != "fixed_point":
+        return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
+    report = convergence.is_relaxing(
+        channel.superoperator(), tol=cfg.peripheral_tol
+    )
+    return _PendingFixedPoint(cfg, channel._kraus,
+                              np.asarray(rho0, dtype=complex), report)
+
+
 def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     """Execute one scenario; optional arguments override config tolerances."""
     cfg = _with_overrides(cfg, tol, max_iter)
     started = time.perf_counter()
-    channel = build_scenario_channel(cfg)
-    rho0 = _initial_state(cfg, channel.system_dim, seed)
-    rows = _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
+    rows = _prepare(cfg, seed)
+    if isinstance(rows, _PendingFixedPoint):
+        rows = _fixed_point_rows(rows, _iterate([rows])[0])
     elapsed = time.perf_counter() - started
     return ResultTable(
         columns=_ANALYSIS_COLUMNS[cfg.analysis],
@@ -282,26 +326,65 @@ def _with_overrides(cfg, tol, max_iter):
     return replace(cfg, **changes)
 
 
-def _sweep_point(args):
-    raw, param, value, seed, tol, max_iter = args
+def _guarded(fn, *args):
+    """``fn(*args)``, or a point's error row for any failure but ConfigError."""
     try:
-        cfg = parse_config(set_by_path(raw, param, value))
-        table = run_scenario(cfg, seed=seed, tol=tol, max_iter=max_iter)
-        return table.rows
+        return fn(*args)
     except ConfigError:
         raise
     except Exception as exc:  # per-point failures land in the status column
         return [("error", f"{type(exc).__name__}: {exc}")]
 
 
+def _sweep_chunk(args):
+    """One block of rows per sweep point of a contiguous chunk.
+
+    Each point is built and analysed spectrally on its own.  Fixed-point
+    analyses then iterate in lockstep, in groups of consecutive points that
+    share a system dimension, ``iterate_tol`` and ``max_iter``, at most
+    ``LOCKSTEP_POINTS_LIMIT`` each, and form their rows last.  A point
+    that fails before it iterates gets its error row and is not iterated.
+    """
+    raw, param, values, seed, tol, max_iter = args
+    blocks = [None] * len(values)
+    group = []  # (index, pending point)
+
+    def finish_group():
+        try:
+            outcomes = _iterate([point for _, point in group])
+        except Exception as exc:  # fails every point of the group alike
+            outcomes = [exc] * len(group)
+        for (i, point), outcome in zip(group, outcomes):
+            blocks[i] = _guarded(_fixed_point_rows, point, outcome)
+        group.clear()
+
+    def prepare(value):
+        cfg = parse_config(set_by_path(raw, param, value))
+        return _prepare(_with_overrides(cfg, tol, max_iter), seed)
+
+    for i, value in enumerate(values):
+        point = _guarded(prepare, value)
+        if not isinstance(point, _PendingFixedPoint):
+            blocks[i] = point
+            continue
+        if group and (len(group) == LOCKSTEP_POINTS_LIMIT
+                      or group[0][1].group_key != point.group_key):
+            finish_group()
+        group.append((i, point))
+    if group:
+        finish_group()
+    return blocks
+
+
 def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
           max_iter=None):
     """Rerun a scenario across parameter values; one block of rows each.
 
-    ``param``/``values`` default to the config's own sweep section.  Points
-    run in parallel when ``jobs`` exceeds 1, but the output rows always
-    follow the input value order.  Per-point failures are recorded in the
-    status column; only config errors abort.
+    ``param``/``values`` default to the config's own sweep section.  When
+    ``jobs`` exceeds 1, the values split into that many contiguous chunks
+    that run in parallel, one worker each; the output rows always follow
+    the input value order and do not depend on ``jobs``.  Per-point
+    failures are recorded in the status column; only config errors abort.
     """
     if param is None or values is None:
         if cfg.sweep is None:
@@ -321,12 +404,19 @@ def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     started = time.perf_counter()
-    tasks = [(cfg.raw, param, v, seed, tol, max_iter) for v in values]
-    if jobs == 1 or len(values) == 1:
-        blocks = [_sweep_point(task) for task in tasks]
+    workers = min(jobs, len(values))
+    cuts = [len(values) * k // workers for k in range(workers + 1)]
+    tasks = [(cfg.raw, param, values[a:b], seed, tol, max_iter)
+             for a, b in zip(cuts, cuts[1:])]
+    if workers == 1:
+        chunks = [_sweep_chunk(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-            blocks = list(pool.map(_sweep_point, tasks))
+        # imported here: it loads multiprocessing, which a serial run and
+        # ``import mediahom`` do without
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_sweep_chunk, tasks))
+    blocks = [block for chunk in chunks for block in chunk]
     elapsed = time.perf_counter() - started
 
     columns = (param,) + _ANALYSIS_COLUMNS[cfg.analysis]

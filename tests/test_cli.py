@@ -151,6 +151,21 @@ def test_non_finite_number_exits_2(tmp_path, overrides, field):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"t": 10**400}, "config.t"),
+    ({"baths": [{"site": 2, "state": {"matrix": [[10**400, 0], [0, 0]]}}]},
+     "baths[0].state.matrix[0][0]"),
+], ids=["t", "bath_matrix"])
+def test_huge_integer_exits_2(tmp_path, overrides, field):
+    # json reads an integer of any size; float() of one past the float
+    # range overflows, so it must be refused before any conversion
+    cfg = write_config(tmp_path, **overrides)
+    proc = run_module("mediahom.cli", "check", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert f"config error: {field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command,overrides,field", [
     ("run", {"couplings": {"edges": [[0, 1, 1.0], [0.9, 1.7, 1.0]]}},
      "couplings.edges[1]"),
@@ -191,11 +206,14 @@ def test_huge_trajectory_exits_2(tmp_path):
 
 def test_import_does_not_load_scipy():
     # scipy is only a test dependency; importing scipy.sparse alone would
-    # add about half a second to every start
+    # add about half a second to every start.  The process pool of a
+    # parallel sweep loads concurrent.futures and, through it,
+    # multiprocessing, logging and socket; it is imported only when used.
+    unwanted = ["scipy", "concurrent", "multiprocessing", "logging", "socket"]
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, mediahom; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(unwanted)!r}))"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=SRC),
     )

@@ -156,6 +156,10 @@ def test_error_messages_name_the_field():
         (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),
         (base_raw(sweep={"param": "t", "linspace": [0, inf, 3]}), "sweep.linspace"),
+        # integers beyond the float range, which Python's json reads exactly
+        (base_raw(t=10**400), "config.t"),
+        (base_raw(baths=[{"site": 2, "state": {"matrix": [[10**400, 0], [0, 0]]}}]),
+         "baths[0].state.matrix[0][0]"),
         # sizes refused before anything of that size is allocated
         (base_raw(sites=10**12), "sites"),
         (base_raw(sites=13), "sites"),

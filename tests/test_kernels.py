@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mediahom import qmath
-from mediahom._kernels import apply_kraus, backend_name, hermitian_trace_norm
-from mediahom._kernels import iterate_to_target, iterate_until, trajectory
+from mediahom._kernels import _two_product_form, apply_kraus, backend_name
+from mediahom._kernels import hermitian_trace_norm, iterate_to_target
+from mediahom._kernels import iterate_until, trajectory
 
 
 def damping_kraus(gamma):
@@ -33,6 +34,22 @@ def test_apply_kraus_closed_form():
         [[0.25 + 0.36 * 0.75, 0.3j * 0.8], [-0.3j * 0.8, 0.75 * 0.64]]
     )
     assert np.abs(out - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64])
+def test_two_product_step_matches_sum_of_conjugations(dim, rng):
+    states = np.stack([qmath.random_density(dim, rng) for _ in range(3)])
+    for rank in (1, 2, 4, 16):
+        kraus = random_kraus(dim, rank, rng)
+        rows, adjoints = _two_product_form(kraus)
+        assert np.array_equal(rows, np.concatenate(list(kraus)))
+        assert np.array_equal(adjoints,
+                              np.concatenate([k.conj().T for k in kraus]))
+        want = np.stack([sum(k @ rho @ k.conj().T for k in kraus)
+                         for rho in states])
+        assert np.abs(apply_kraus(kraus, states) - want).max() <= 1e-15
+        for rho, expected in zip(states, want):
+            assert np.abs(apply_kraus(kraus, rho) - expected).max() <= 1e-15
 
 
 def test_trace_norm_matches_svd_route(rng):
@@ -160,6 +177,30 @@ def test_screened_iteration_matches_exact_loop_without_convergence(rng):
     want = exact_loop(kraus, rho0, 1e-3, 50, target)
     assert not want[3]
     assert_same_outcome(iterate_to_target(kraus, rho0, target, 1e-3, 50), want)
+
+
+@pytest.mark.parametrize("dim,ranks", [(2, (2, 4, 1, 2)), (16, (4, 16, 1)),
+                                       (32, (1, 8))])
+def test_lockstep_iteration_matches_one_channel_at_a_time(dim, ranks, rng):
+    # rank 1 is a unitary channel, which runs to max_iter from a random
+    # state; at dim 2 the last point starts from a NaN state (eigvalsh
+    # refuses a NaN matrix above dim 2)
+    kraus = [random_kraus(dim, rank, rng) for rank in ranks]
+    states = [qmath.random_density(dim, rng) for _ in ranks]
+    if dim == 2:
+        states[-1] = np.full((dim, dim), np.nan, dtype=complex)
+    padded = np.zeros((len(ranks), max(ranks), dim, dim), dtype=complex)
+    for stack, ops in zip(padded, kraus):
+        stack[:len(ops)] = ops
+    max_iter = 400
+    got = iterate_until(padded, np.stack(states), 1e-9, max_iter)
+    assert len(set(got[3].tolist())) == 2, "expected both outcomes"
+    for i, (ops, rho0) in enumerate(zip(kraus, states)):
+        state, used, residual, converged = iterate_until(ops, rho0, 1e-9,
+                                                         max_iter)
+        assert np.array_equal(got[0][i], state, equal_nan=True)
+        assert (got[1][i], got[3][i]) == (used, converged)
+        assert np.array_equal(got[2][i], residual, equal_nan=True)
 
 
 def test_nan_state_never_converges():

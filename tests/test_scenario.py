@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mediahom import qmath
-from mediahom.config import parse_config
+from mediahom.config import parse_config, set_by_path
 from mediahom.errors import ConfigError
 from mediahom.scenario import (
     ResultTable,
@@ -17,6 +19,15 @@ from mediahom.scenario import (
     run_scenario,
     sweep,
 )
+from mediahom.tolerances import LOCKSTEP_POINTS_LIMIT
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def bundled_raw(name, **overrides):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    raw.update(overrides)
+    return raw
 
 
 def swap_chain_raw(**overrides):
@@ -329,3 +340,47 @@ def test_emit_csv_deterministic_body(tmp_path):
                        if not l.startswith("# created:")
                        and not l.startswith("# wall_time_s:")]
     assert strip(a) == strip(b)
+
+
+def csv_body(table):
+    buf = io.StringIO()
+    emit_csv(table, buf)
+    return [l for l in buf.getvalue().splitlines() if not l.startswith("# ")]
+
+
+SWAP_TOLERANCES = {"iterate_tol": 1e-10, "max_iter": 20000}
+
+
+@pytest.mark.parametrize("raw,param,values,jobs", [
+    # Kraus ranks 4 and 2, iterated together
+    (bundled_raw("entropy_ratio_sweep"), "baths.0.state.mix.0", [0.5, 1.0], 1),
+    (bundled_raw("swap_chain_homogenization"), "sites", [3, 4], 1),
+    # the first point stops at max_iter without converging
+    (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
+     "tolerances.max_iter", [5, 20000], 1),
+    (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
+     "tolerances.iterate_tol", [1e-6, 1e-10], 1),
+    # t = 1e308 fails in the channel build: an error row, not iterated
+    (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
+     "t", [0.5, 1e308], 1),
+    # more points than one lockstep group, serially and in two chunks
+    (bundled_raw("swap_chain_homogenization"), "t",
+     np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist(), 1),
+    (bundled_raw("swap_chain_homogenization"), "t",
+     np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist(), 2),
+], ids=["kraus_ranks", "sites", "max_iter", "iterate_tol", "error_row",
+        "groups", "groups_jobs2"])
+def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
+    # rows hold NaN, so the CSV text is compared, not the row tuples
+    table = sweep(parse_config(raw), param=param, values=values, jobs=jobs)
+    width = len(table.columns)
+    rows = []
+    for value in values:
+        try:
+            point = run_scenario(parse_config(set_by_path(raw, param, value)))
+        except ValueError as exc:
+            rows.append((value,) + (math.nan,) * (width - 2)
+                        + (f"{type(exc).__name__}: {exc}",))
+        else:
+            rows += [(value,) + row for row in point.rows]
+    assert csv_body(table) == csv_body(ResultTable(table.columns, rows))
