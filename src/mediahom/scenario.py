@@ -6,9 +6,10 @@ repeats it across a parameter grid, optionally in parallel, with rows
 always assembled in input order.  A fixed-point analysis runs in three
 steps: build the channel and its spectral report, iterate the fixed point,
 form the rows.  A sweep iterates consecutive points together (see
-:func:`_sweep_chunk`); ``run_scenario`` is a group of one point.  ``emit_csv`` serializes tables
-deterministically (12 significant digits, metadata in comment lines) so
-identical config + seed reproduces byte-identical output.
+:func:`_sweep_chunk`); ``run_scenario`` is a group of one point.
+``emit_csv`` serializes tables deterministically (12 significant digits,
+metadata in comment lines) so identical config + seed reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -292,9 +293,10 @@ def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     """Execute one scenario; optional arguments override config tolerances."""
     cfg = _with_overrides(cfg, tol, max_iter)
     started = time.perf_counter()
-    rows = _prepare(cfg, seed)
-    if isinstance(rows, _PendingFixedPoint):
-        rows = _fixed_point_rows(rows, _iterate([rows])[0])
+    point = _prepare(cfg, seed)
+    rows = point if isinstance(point, list) else _fixed_point_rows(
+        point, _iterate([point])[0]
+    )
     elapsed = time.perf_counter() - started
     return ResultTable(
         columns=_ANALYSIS_COLUMNS[cfg.analysis],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mediahom import qmath
+from mediahom import convergence, qmath
 from mediahom.config import parse_config, set_by_path
 from mediahom.errors import ConfigError
 from mediahom.scenario import (
@@ -384,3 +384,22 @@ def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
         else:
             rows += [(value,) + row for row in point.rows]
     assert csv_body(table) == csv_body(ResultTable(table.columns, rows))
+
+
+def test_sweep_lockstep_groups_are_bounded(monkeypatch):
+    sizes = []
+    iterate = convergence._iterated_fixed_points
+
+    def recording(kraus_stacks, *args):
+        sizes.append(len(kraus_stacks))
+        return iterate(kraus_stacks, *args)
+
+    monkeypatch.setattr(convergence, "_iterated_fixed_points", recording)
+    raw = bundled_raw("swap_chain_homogenization")
+    sweep(parse_config(raw), param="t",
+          values=np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist())
+    assert sizes == [LOCKSTEP_POINTS_LIMIT, 2]
+    # a new system dimension starts a new group
+    sizes.clear()
+    sweep(parse_config(raw), param="sites", values=[3, 3, 4, 3])
+    assert sizes == [2, 1, 1]
