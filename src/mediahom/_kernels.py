@@ -36,7 +36,7 @@ def hermitian_trace_norm(a: np.ndarray):
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """||X||_F of each matrix of a C-contiguous complex (P, D, D) stack.
+    """||X||_F of each matrix of a complex (P, D, D) stack, shape (P,).
 
     One product of each flattened matrix, as reals, with itself: cheaper in
     calls than ``np.linalg.norm`` over two axes.  Squares that underflow
@@ -58,8 +58,11 @@ def _screened_norm(diff: np.ndarray, tol: float) -> float:
 
 
 def _two_product_form(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A Kraus stack (..., m, D, D) as its operators and its adjoints,
-    each stacked as rows, shape (..., m D, D)."""
+    """The operators and the adjoints of a Kraus stack, stacked as rows.
+
+    A stack (..., m, D, D) gives two of shape (..., m D, D), whose row
+    block k is ``K_k`` and ``K_k^dag``.
+    """
     *lead, m, d, _ = kraus.shape
     rows = kraus.reshape(*lead, m * d, d)
     adjoints = kraus.conj().swapaxes(-1, -2).reshape(*lead, m * d, d)
