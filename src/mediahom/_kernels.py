@@ -102,7 +102,8 @@ def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,
 
     Returns (state, iterations, last residual, converged).  Without
     convergence the residual is the exact trace norm of the last step, or
-    inf when no step ran.
+    inf when no step ran; a state that turns NaN stops there, with
+    iterations max_iter and residual NaN, as if it had run on.
 
     A stack of P channels of one system dimension, ``kraus`` of shape
     (P, m, D, D) with ``rho0`` of shape (P, D, D), iterates in lockstep and
@@ -128,22 +129,26 @@ def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,
         nxt = _collide(rows, adjoints, rho)
         diff, rho = nxt - rho, nxt
         norms = _frobenius_norms(diff)
-        # a NaN norm fails both comparisons and goes to the exact check
-        if norms.min() > tol:
+        if norms.min() > tol:  # False too when a norm is NaN
             continue
-        near = np.flatnonzero(~(norms > tol))
-        exact = hermitian_trace_norm(diff[near])
-        hit = exact <= tol
-        if not hit.any():
+        # A NaN state stays NaN, so its point leaves here with what running
+        # on to max_iter gives: unconverged, residual NaN.  Only finite
+        # norms <= tol go to the exact check, whose eigvalsh raises on NaN
+        # at D >= 3.
+        residual = np.where(np.isnan(norms), np.nan, np.inf)
+        near = np.flatnonzero(norms <= tol)
+        if near.size:
+            residual[near] = hermitian_trace_norm(diff[near])
+        hit = residual <= tol
+        done = hit | np.isnan(residual)
+        if not done.any():
             continue
-        done = near[hit]
         points = active[done]
         states[points] = rho[done]
-        used[points] = k
-        residuals[points] = exact[hit]
-        converged[points] = True
-        stay = np.ones(len(active), dtype=bool)
-        stay[done] = False
+        used[active[hit]] = k
+        residuals[points] = residual[done]
+        converged[points] = hit[done]
+        stay = ~done
         active, rows, adjoints, rho, diff = (
             active[stay], rows[stay], adjoints[stay], rho[stay], diff[stay]
         )

@@ -218,6 +218,22 @@ class CollisionChannel:
         self.ancilla_state = omega
         self._kraus = kraus
 
+    def _in_frame(self, frame):
+        """This channel in the system basis of the unitary ``frame``, W.
+
+        Its Kraus operators are ``W^H K W`` and its joint unitary is
+        ``(W (x) I)^H U (W (x) I)``, exact conjugates of checked ones, so
+        the view is not built through ``__init__``.  It has this channel's
+        spectrum; its fixed point ``sigma`` is this channel's ``W sigma
+        W^H``.
+        """
+        lift = np.kron(frame, np.eye(self.ancilla_state.shape[0]))
+        view = type(self).__new__(type(self))
+        view._adopt(lift.conj().T @ self.joint_unitary @ lift,
+                    self.ancilla_state, self.ancilla_dims,
+                    frame.conj().T @ self._kraus @ frame)
+        return view
+
     def kraus_operators(self):
         """Kraus stack, shape ``(n_kraus, D, D)``; ``sum K rho K^dag`` = apply."""
         return self._kraus.copy()

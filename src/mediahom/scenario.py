@@ -33,7 +33,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .network import interaction_hamiltonian, system_hamiltonian
-from .tolerances import LOCKSTEP_POINTS_LIMIT
+from .tolerances import BLOCK_SPLIT_RTOL, LOCKSTEP_POINTS_LIMIT
 
 _ANALYSIS_COLUMNS = {
     "fixed_point": (
@@ -119,6 +119,58 @@ def build_scenario_channel(cfg):
         return CollisionChannel(unitary, np.eye(1), (1,))
     ancilla = qmath.tensor([b.state for b in cfg.baths])
     return CollisionChannel(unitary, ancilla, (cfg.local_dim,) * n_baths)
+
+
+def _is_diagonal(matrix):
+    """Off-diagonal entries within the block split's relative tolerance."""
+    off = matrix - np.diag(np.diagonal(matrix))
+    return np.abs(off).max() <= BLOCK_SPLIT_RTOL * np.abs(matrix).max()
+
+
+def _bath_frame(cfg):
+    """``W = V^(x)sites`` for the baths' common eigenbasis ``V``, or None.
+
+    ``V`` holds the eigenvectors of the first bath state that is not
+    diagonal and serves only if it diagonalizes every bath state.  Without
+    such a state (no baths, or all diagonal) or such a ``V`` there is no
+    frame.  A symmetry that the bath states share with the network, such as
+    the global X-parity of an XXZ chain with ``"minus"`` baths, is then
+    diagonal in the frame, where it splits the superoperator into blocks.
+    """
+    states = [bath.state for bath in cfg.baths]
+    skewed = [state for state in states if not _is_diagonal(state)]
+    if not skewed:
+        return None
+    _, basis = np.linalg.eigh(skewed[0])
+    if not all(_is_diagonal(basis.conj().T @ s @ basis) for s in states):
+        return None
+    return qmath.tensor([basis] * cfg.sites)
+
+
+def _framed_superoperator(cfg, channel):
+    """``(superoperator, W)`` of the channel in its baths' eigenbasis.
+
+    ``W`` is :func:`_bath_frame`'s unitary; without a frame it is None and
+    the superoperator is the channel's own.  The two have one spectrum.
+    """
+    frame = _bath_frame(cfg)
+    if frame is None:
+        return channel.superoperator(), None
+    return channel._in_frame(frame).superoperator(), frame
+
+
+def _relaxing_report(cfg, channel):
+    """:func:`convergence.is_relaxing` of the channel, run in its bath frame.
+
+    The fixed point is found and checked in the frame, then rotated back
+    and made exactly Hermitian.
+    """
+    sop, frame = _framed_superoperator(cfg, channel)
+    report = convergence.is_relaxing(sop, tol=cfg.peripheral_tol)
+    if frame is None or report.fixed_point is None:
+        return report
+    rho = frame @ report.fixed_point @ frame.conj().T
+    return replace(report, fixed_point=(rho + rho.conj().T) / 2.0)
 
 
 def _concurrence_12(state, cfg):
@@ -217,7 +269,8 @@ def _trajectory_rows(cfg, channel, rho0):
 
 
 def _spectrum_rows(cfg, channel, rho0):
-    vals, _ = convergence._eig_by_blocks(channel.superoperator().matrix)
+    sop, _ = _framed_superoperator(cfg, channel)
+    vals, _ = convergence._eig_by_blocks(sop.matrix)
     order = np.argsort(-np.abs(vals))
     return [
         (i, float(vals[j].real), float(vals[j].imag), float(abs(vals[j])), "ok")
@@ -228,9 +281,7 @@ def _spectrum_rows(cfg, channel, rho0):
 def _site_populations_rows(cfg, channel, rho0):
     dims = [cfg.local_dim] * cfg.sites
     ground = qmath.projector(qmath.basis_ket(cfg.local_dim, 0))
-    report = convergence.is_relaxing(
-        channel.superoperator(), tol=cfg.peripheral_tol
-    )
+    report = _relaxing_report(cfg, channel)
     if report.fixed_point is not None:
         state, status = report.fixed_point, "ok"
     else:
@@ -282,9 +333,7 @@ def _prepare(cfg, seed):
     rho0 = _initial_state(cfg, channel.system_dim, seed)
     if cfg.analysis != "fixed_point":
         return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
-    report = convergence.is_relaxing(
-        channel.superoperator(), tol=cfg.peripheral_tol
-    )
+    report = _relaxing_report(cfg, channel)
     return _PendingFixedPoint(cfg, channel._kraus,
                               np.asarray(rho0, dtype=complex), report)
 

@@ -6,7 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from mediahom import collision, convergence, network, qmath
-from mediahom._kernels import apply_kraus, hermitian_trace_norm
+from mediahom._kernels import apply_kraus, hermitian_trace_norm, iterate_until
 from mediahom.collision import CollisionChannel, Superoperator, build_channel
 from mediahom.config import parse_config
 from mediahom.convergence import (
@@ -423,6 +423,27 @@ def test_iterative_fixed_point_input_validation(rng):
         iterative_fixed_point(ch, np.eye(2) / 2, tol=0.0)
     with pytest.raises(ShapeError):
         iterative_fixed_point(ch, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_nan_point_ends_alone_in_its_lockstep_group(dim, rng):
+    # eigvalsh raises on a NaN matrix above dim 2: a NaN point must end as
+    # its own ConvergenceError and leave its neighbour's outcome as it is
+    kraus = CollisionChannel(qmath.random_unitary(2 * dim, rng),
+                             qmath.random_density(2, rng), (2,))._kraus
+    rho0 = qmath.random_density(dim, rng)
+    nan_state = np.full((dim, dim), np.nan, dtype=complex)
+    want = iterate_until(kraus, rho0, 1e-9, 5000)
+    assert want[3], "the random channel should relax within 5000 collisions"
+    got = iterate_until(np.stack([kraus, kraus]), np.stack([rho0, nan_state]),
+                        1e-9, 5000)
+    assert np.array_equal(got[0][0], want[0])
+    assert (got[1][0], got[2][0], got[3][0]) == want[1:]
+    good, lost = convergence._iterated_fixed_points(
+        [kraus, kraus], [rho0, nan_state], 1e-9, 5000
+    )
+    assert np.array_equal(good[0], want[0]) and good[1] == want[1]
+    assert isinstance(lost, ConvergenceError) and math.isnan(lost.residual)
 
 
 def test_factorized_count_connected_chain():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mediahom import convergence, qmath
+from mediahom import convergence, qmath, scenario
 from mediahom.config import parse_config, set_by_path
 from mediahom.errors import ConfigError
 from mediahom.scenario import (
@@ -147,7 +147,12 @@ def test_spectrum_rows_sorted_and_bounded():
     swap_chain_raw(analysis="spectrum"),
     swap_chain_raw(model="xxz", sites=4, delta=1.0, analysis="spectrum",
                    baths=[{"site": 3, "state": "minus"}]),
-], ids=["swap_chain", "xxz_minus_bath"])
+    swap_chain_raw(model="xxz", sites=4, delta=0.5, analysis="spectrum",
+                   baths=[{"site": 3, "state": "minus"}]),
+    swap_chain_raw(model="xxz", sites=3, delta=0.3, analysis="spectrum",
+                   baths=[{"site": 2, "state": "plus"}]),
+], ids=["swap_chain", "xxz_minus_bath", "xxz_minus_bath_delta_half",
+        "xxz_plus_bath"])
 def test_spectrum_rows_match_dense_oracle(raw):
     cfg = parse_config(raw)
     table = run_scenario(cfg)
@@ -161,6 +166,77 @@ def test_spectrum_rows_match_dense_oracle(raw):
     dist = np.abs(vals[:, None] - dense[None, :])
     rows, cols = linear_sum_assignment(dist)
     assert dist[rows, cols].max() < 1e-12
+
+
+def xxz_raw(baths, sites=3, delta=0.5, **overrides):
+    return swap_chain_raw(model="xxz", sites=sites, delta=delta, baths=baths,
+                          **overrides)
+
+
+QUTRIT_STATE = {"matrix": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05],
+                           [0.0, 0.05, 0.2]]}
+
+
+@pytest.mark.parametrize("raw,framed", [
+    (xxz_raw([{"site": 2, "state": "plus"}]), True),
+    (xxz_raw([{"site": 2, "state": "minus"}]), True),
+    (xxz_raw([{"site": 2, "state":
+               {"mix": [0.3, {"diag": 1.0}, "minus"]}}]), True),
+    (swap_chain_raw(sites=2, local_dim=3,
+                    baths=[{"site": 1, "state": QUTRIT_STATE}]), True),
+    (xxz_raw([{"site": 0, "state": "plus"},
+              {"site": 2, "state": {"mix": [0.8, "minus", "plus"]}}]), True),
+    (xxz_raw([{"site": 0, "state": {"diag": 0.7}},
+              {"site": 2, "state": "minus"}]), False),
+    (xxz_raw([{"site": 3, "state": "minus"}], sites=4, delta=1.0), True),
+], ids=["plus", "minus", "mix", "qutrit", "commuting_pair",
+        "non_commuting_pair", "minus_delta_one"])
+def test_bath_frame_report_matches_computational_frame(raw, framed):
+    cfg = parse_config(raw)
+    channel = build_scenario_channel(cfg)
+    assert (scenario._bath_frame(cfg) is not None) == framed
+    got = scenario._relaxing_report(cfg, channel)
+    want = convergence.is_relaxing(channel.superoperator(),
+                                   tol=cfg.peripheral_tol)
+    assert got.relaxing and want.relaxing
+    assert got.peripheral_count == want.peripheral_count
+    assert abs(got.spectral_gap - want.spectral_gap) <= 1e-12
+    assert np.array_equal(got.fixed_point, got.fixed_point.conj().T)
+    assert qmath.trace_distance(got.fixed_point, want.fixed_point) <= 1e-10
+
+
+def largest_block(superoperator):
+    mags = np.abs(superoperator.matrix)
+    blocks = convergence._components(
+        mags > convergence.BLOCK_SPLIT_RTOL * mags.max()
+    )
+    return max(block.size for block in blocks)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0])
+def test_bath_frame_splits_the_anisotropy_sweep(delta):
+    # the "minus" bath hides the chain's X-parity (and, at delta = 1, its
+    # X-magnetization) from the computational basis: one 256 block there
+    cfg = parse_config(bundled_raw("anisotropy_entanglement_sweep",
+                                   delta=delta))
+    channel = build_scenario_channel(cfg)
+    assert largest_block(channel.superoperator()) == 256
+    sop, frame = scenario._framed_superoperator(cfg, channel)
+    assert frame is not None and sop.dim == 16
+    assert largest_block(sop) <= 128
+
+
+@pytest.mark.parametrize("raw", [
+    bundled_raw("two_bath_equilibrium"),
+    bundled_raw("swap_chain_homogenization"),
+    swap_chain_raw(baths=[]),
+], ids=["two_bath_equilibrium", "swap_chain_homogenization", "no_baths"])
+def test_diagonal_or_absent_baths_get_no_frame(raw):
+    cfg = parse_config(raw)
+    channel = build_scenario_channel(cfg)
+    sop, frame = scenario._framed_superoperator(cfg, channel)
+    assert frame is None
+    assert np.array_equal(sop.matrix, channel.superoperator().matrix)
 
 
 def test_site_populations_input_vs_post_collision():
