@@ -35,37 +35,29 @@ def hermitian_trace_norm(a: np.ndarray):
     return norms if norms.ndim else float(norms)
 
 
-def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """||X||_F of each matrix of a complex (P, D, D) stack, shape (P,).
-
-    One product of each flattened matrix, as reals, with itself: cheaper in
-    calls than ``np.linalg.norm`` over two axes.  Squares that underflow
-    only lower a norm, which sends it on to the exact check.
-    """
-    flat = stack.reshape(len(stack), 1, -1).view(np.float64)
-    return np.sqrt(flat @ flat.swapaxes(1, 2)).ravel()
-
-
 def _screened_norm(diff: np.ndarray, tol: float) -> float:
-    """``hermitian_trace_norm(diff)`` when it may be <= tol, else inf.
+    """``hermitian_trace_norm(diff)`` when it may be <= tol, else inf or NaN.
 
-    A NaN Frobenius norm fails the comparison and falls through to the
-    exact norm, so it never counts as converged.
+    A Frobenius norm above tol gives inf without the exact norm.  A NaN one
+    gives NaN, never an ``eigvalsh``, which raises on a NaN matrix at D >= 3.
     """
-    if np.linalg.norm(diff) > tol:
+    norm = np.linalg.norm(diff)
+    if norm > tol:
         return np.inf
+    if np.isnan(norm):
+        return np.nan
     return hermitian_trace_norm(diff)
 
 
 def _two_product_form(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The operators and the adjoints of a Kraus stack, stacked as rows.
 
-    A stack (..., m, D, D) gives two of shape (..., m D, D), whose row
-    block k is ``K_k`` and ``K_k^dag``.
+    A stack (m, D, D) gives two of shape (m D, D), whose row block k is
+    ``K_k`` and ``K_k^dag``.
     """
-    *lead, m, d, _ = kraus.shape
-    rows = kraus.reshape(*lead, m * d, d)
-    adjoints = kraus.conj().swapaxes(-1, -2).reshape(*lead, m * d, d)
+    m, d, _ = kraus.shape
+    rows = kraus.reshape(m * d, d)
+    adjoints = kraus.conj().swapaxes(-1, -2).reshape(m * d, d)
     return rows, adjoints
 
 
@@ -104,63 +96,20 @@ def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,
     convergence the residual is the exact trace norm of the last step, or
     inf when no step ran; a state that turns NaN stops there, with
     iterations max_iter and residual NaN, as if it had run on.
-
-    A stack of P channels of one system dimension, ``kraus`` of shape
-    (P, m, D, D) with ``rho0`` of shape (P, D, D), iterates in lockstep and
-    returns the four as arrays over the P points.  Each collision is then
-    one pair of products shared by the points still iterating; a point
-    leaves the stack at its first collision with an exact residual <= tol.
-    Every point's arithmetic is that of iterating it alone, so its state,
-    count and residual are the same.  Zero Kraus operators, which pad
-    stacks of lower rank, add exact zeros to its sums.
     """
-    single = kraus.ndim == 3
-    if single:
-        kraus, rho0 = kraus[None], np.asarray(rho0)[None]
     rows, adjoints = _two_product_form(kraus)
     rho = np.array(rho0, dtype=complex)
-    states = np.empty_like(rho)
-    p = len(rho)
-    used = np.full(p, max_iter)
-    residuals = np.full(p, np.inf)
-    converged = np.zeros(p, dtype=bool)
-    active = np.arange(p)
     for k in range(1, max_iter + 1):
         nxt = _collide(rows, adjoints, rho)
         diff, rho = nxt - rho, nxt
-        norms = _frobenius_norms(diff)
-        if norms.min() > tol:  # False too when a norm is NaN
-            continue
-        # A NaN state stays NaN, so its point leaves here with what running
-        # on to max_iter gives: unconverged, residual NaN.  Only finite
-        # norms <= tol go to the exact check, whose eigvalsh raises on NaN
-        # at D >= 3.
-        residual = np.where(np.isnan(norms), np.nan, np.inf)
-        near = np.flatnonzero(norms <= tol)
-        if near.size:
-            residual[near] = hermitian_trace_norm(diff[near])
-        hit = residual <= tol
-        done = hit | np.isnan(residual)
-        if not done.any():
-            continue
-        points = active[done]
-        states[points] = rho[done]
-        used[active[hit]] = k
-        residuals[points] = residual[done]
-        converged[points] = hit[done]
-        stay = ~done
-        active, rows, adjoints, rho, diff = (
-            active[stay], rows[stay], adjoints[stay], rho[stay], diff[stay]
-        )
-        if not active.size:
+        residual = _screened_norm(diff, tol)
+        if residual <= tol:
+            return rho, k, residual, True
+        if np.isnan(residual):
             break
-    if active.size:
-        states[active] = rho
-        if max_iter > 0:
-            residuals[active] = hermitian_trace_norm(diff)
-    if single:
-        return states[0], int(used[0]), float(residuals[0]), bool(converged[0])
-    return states, used, residuals, converged
+    else:
+        residual = hermitian_trace_norm(diff) if max_iter > 0 else np.inf
+    return rho, max_iter, residual, False
 
 
 def iterate_to_target(
@@ -174,16 +123,17 @@ def iterate_to_target(
 
     Returns (state, iterations, last distance, converged); zero iterations
     when the initial state is already within tolerance.  Without
-    convergence the distance is the exact trace norm for the last state.
+    convergence the distance is the exact trace norm for the last state; a
+    NaN state stops there, as in :func:`iterate_until`.
     """
     rows, adjoints = _two_product_form(kraus)
     rho = np.array(rho0, dtype=complex)
-    distance = _screened_norm(rho - target, tol)
-    if distance <= tol:
-        return rho, 0, distance, True
-    for k in range(1, max_iter + 1):
-        rho = _collide(rows, adjoints, rho)
+    for k in range(max_iter + 1):
+        if k:
+            rho = _collide(rows, adjoints, rho)
         distance = _screened_norm(rho - target, tol)
         if distance <= tol:
             return rho, k, distance, True
+        if np.isnan(distance):
+            return rho, max_iter, distance, False
     return rho, max_iter, hermitian_trace_norm(rho - target), False

@@ -61,13 +61,25 @@ class ConvergenceReport:
     residual: float
 
 
+# Rows (and columns) per cache-sized piece of an n x n pass at large n.
+_TILE = 256
+
+
 def _components(linked):
     """Weakly connected components of a boolean adjacency matrix.
 
     Returns sorted index arrays, ordered by their smallest index.
     """
-    linked = linked | linked.T
     n = linked.shape[0]
+    # linked | linked.T by tiles that stay in cache: at n = 4096 the whole
+    # transposed operand makes it four times slower
+    sym = np.empty_like(linked)
+    for i in range(0, n, _TILE):
+        for j in range(0, n, _TILE):
+            np.logical_or(linked[i:i + _TILE, j:j + _TILE],
+                          linked[j:j + _TILE, i:i + _TILE].T,
+                          out=sym[i:i + _TILE, j:j + _TILE])
+    linked = sym
     blocks = []
     unplaced = np.ones(n, dtype=bool)
     while unplaced.any():
@@ -269,10 +281,12 @@ def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
     """Fixed point from a precomputed superoperator spectrum.
 
     ``eigenvector(k)`` returns the right eigenvector of ``vals[k]``, or
-    any vector of trace 0 where no trace-1 fixed point can live.  Selects the eigenvalue within ``tol`` of 1 (erroring if that cluster is
-    degenerate), Hermitian-symmetrizes its eigenvector, trace-normalizes,
-    and validates positivity and the self-consistency residual under the
-    full superoperator.  Positivity failures are surfaced, never repaired.
+    any vector of trace 0 where no trace-1 fixed point can live.  The
+    eigenvalue within ``tol`` of 1 is selected; a degenerate cluster there
+    is an error.  Its eigenvector is Hermitian-symmetrized and
+    trace-normalized.  Positivity and the self-consistency residual under
+    the full superoperator are then validated.  Positivity failures are
+    surfaced, never repaired.
     """
     near_one = np.flatnonzero(np.abs(vals - 1.0) <= tol)
     if near_one.size > 1:
@@ -368,43 +382,225 @@ def iterative_fixed_point(channel, rho0, tol=DEFAULT_ITERATE_TOL,
             f"state has shape {rho0.shape}, channel expects "
             f"({channel.system_dim}, {channel.system_dim})"
         )
-    (outcome,) = _iterated_fixed_points([channel._kraus], [rho0], tol,
-                                        max_iter)
-    if isinstance(outcome, ConvergenceError):
-        raise outcome
-    return outcome
-
-
-def _iterated_fixed_points(kraus_stacks, states, tol, max_iter):
-    """:func:`iterative_fixed_point` of channels of one dimension, in lockstep.
-
-    ``kraus_stacks`` are the channels' Kraus stacks and ``states`` their
-    start states.  Stacks of lower rank are padded with zero operators to
-    one rank.  Returns, per channel, ``(state, collisions used)`` or the
-    :class:`ConvergenceError` that :func:`iterative_fixed_point` raises for
-    it; each is what iterating that channel alone gives.
-    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    dim = states[0].shape[-1]
-    padded = np.zeros(
-        (len(kraus_stacks), max(len(k) for k in kraus_stacks), dim, dim),
-        dtype=complex,
-    )
-    for stack, kraus in zip(padded, kraus_stacks):
-        stack[:len(kraus)] = kraus
-    states, used, residuals, converged = iterate_until(
-        padded, np.stack(states), float(tol), int(max_iter)
-    )
-    return [
-        (state, int(n)) if ok else ConvergenceError(
-            f"no fixed point within {max_iter} collisions (last residual "
+    return _settled(*iterate_until(channel._kraus, rho0, float(tol),
+                                   int(max_iter)))
+
+
+def _settled(state, used, residual, converged):
+    """``(state, used)`` of a converged iteration, else its ConvergenceError.
+
+    Takes the four values :func:`iterate_until` returns.
+    """
+    if not converged:
+        raise ConvergenceError(
+            f"no fixed point within {used} collisions (last residual "
             f"{residual:.3e}); slow mixing or non-relaxing dynamics — "
             "consult is_relaxing",
-            residual=float(residual), iterations=int(n),
+            residual=float(residual), iterations=int(used),
         )
-        for state, n, residual, ok in zip(states, used, residuals, converged)
-    ]
+    return state, int(used)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One block of a superoperator, acting on entries ``idx`` of a state.
+
+    With ``layout = (p, h)`` from :func:`_hermitian_layout`, ``matrix`` is
+    the block's real form (:func:`_real_form`) and acts on the entries'
+    real coordinates.  Without it, ``matrix`` acts on the complex entries,
+    and the conjugates fill the twin entries ``mirror`` if there are any.
+    """
+
+    matrix: np.ndarray
+    idx: np.ndarray
+    layout: tuple | None = None
+    mirror: np.ndarray | None = None
+
+    def coordinates(self, vec):
+        """The block's coordinates of a vectorized Hermitian matrix."""
+        entries = vec[self.idx]
+        if self.layout is None:
+            return entries
+        p, h = self.layout
+        upper, lower = entries[p:p + h], entries[p + h:]
+        # T^H entries, real for a Hermitian matrix
+        return np.concatenate([entries[:p].real,
+                               (upper + lower).real * _HALF_ROOT,
+                               (upper - lower).imag * _HALF_ROOT])
+
+    def write(self, coords, vec):
+        """Write coordinates back into the vectorized matrix ``vec``."""
+        if self.layout is not None:
+            coords = _from_real_form(coords, *self.layout)
+        vec[self.idx] = coords
+        if self.mirror is not None:
+            vec[self.mirror] = coords.conj()
+
+
+def _lifting_pays(blocks, rank, dim, gap, tol, max_iter):
+    """Is squaring ``blocks`` cheaper than colliding a Kraus stack?
+
+    ``blocks`` lists ``(size, real)`` of the blocks to square, and the
+    stack holds ``rank`` operators on a ``dim``-dimensional system.  About
+    ``k = ln(2 / tol) / -ln(1 - gap)`` collisions take a step of trace norm
+    at most 2 below ``tol`` (``max_iter`` at most, and all of them for a
+    gap of 0).  Finding them by lifting costs ``bit_length(k)`` squarings,
+    ``n^3`` real multiply-adds for a real block of size n and ``4 n^3`` for
+    a complex one; colliding costs ``k`` collisions of ``8 rank dim^3``.
+    """
+    if gap > 0:
+        rate = -math.log1p(-gap) if gap < 1 else math.inf
+        collisions = min(max_iter, max(1, math.ceil(math.log(2 / tol) / rate)))
+    else:
+        collisions = max_iter
+    squaring = sum(n ** 3 if real else 4 * n ** 3 for n, real in blocks)
+    return (collisions.bit_length() * squaring
+            < collisions * 8 * rank * dim ** 3)
+
+
+def _lifting_blocks(matrix, start, rank, gap, tol, max_iter):
+    """The blocks of a superoperator that ``start`` touches, or None.
+
+    ``matrix`` splits into the weakly connected blocks of its entries
+    above ``BLOCK_SPLIT_RTOL``, as in :func:`_eig_by_blocks`.  A block is
+    kept if ``start`` or its transpose has a nonzero entry there: a
+    self-twin block in its real form, one complex block per conjugate-twin
+    pair, and any block that fails its symmetry check as a complex block.
+    The blocks the start does not touch stay zero under every power of
+    ``matrix``.
+    None when :func:`_lifting_pays` finds colliding the channel's
+    ``rank`` Kraus operators cheaper, given the spectral ``gap``, ``tol``
+    and ``max_iter``.
+    """
+    n, side = matrix.shape[0], start.shape[0]
+    # A channel's superoperator has entries of modulus at most 1 (by
+    # Cauchy-Schwarz, as sum_K K^dag K = I), so the split tolerance serves
+    # as an absolute one here, with no pass for the largest entry.  |S| is
+    # taken a chunk of rows at a time: a whole n x n float copy would cost
+    # more than the split itself at n = 4096.
+    split_tol = BLOCK_SPLIT_RTOL
+    linked = np.empty(matrix.shape, dtype=bool)
+    for i in range(0, n, _TILE):
+        np.greater(np.abs(matrix[i:i + _TILE]), split_tol,
+                   out=linked[i:i + _TILE])
+    blocks = _components(linked)
+    del linked
+    swap = np.arange(n).reshape(side, side).T.ravel()
+    label = np.empty(n, dtype=int)
+    for i, b in enumerate(blocks):
+        label[b] = i
+    support = ((start != 0) | (start.T != 0)).ravel()
+
+    kept = []  # (block, kind)
+    paired = set()
+    for i, b in enumerate(blocks):
+        if i in paired or not support[b].any():
+            continue
+        twin = label[swap[b[0]]]
+        if blocks[twin].size != b.size or (label[swap[b]] != twin).any():
+            kept.append((b, "complex"))
+        elif twin == i:
+            kept.append((b, "real"))
+        else:
+            kept.append((b, "pair"))
+            paired.add(twin)
+    shapes = [(b.size, kind == "real") for b, kind in kept]
+    if not _lifting_pays(shapes, rank, side, gap, tol, max_iter):
+        return None
+
+    parts = []
+    for b, kind in kept:
+        if kind == "real":
+            idx, p, h = _hermitian_layout(b, side)
+            form = _real_form(
+                matrix[np.ix_(idx, idx)].astype(complex, copy=False), p, h
+            )
+            # the check of :func:`_self_twin_part`
+            if max(form.imag.max(), -form.imag.min()) <= split_tol:
+                parts.append(_Block(form.real.copy(), idx, (p, h)))
+                continue
+        elif kind == "pair":
+            entries, mirror = matrix[np.ix_(b, b)], swap[b]
+            twin = matrix[np.ix_(mirror, mirror)]
+            if np.abs(twin - entries.conj()).max() <= split_tol:
+                parts.append(_Block(entries, b, mirror=mirror))
+                continue
+            parts.append(_Block(twin, mirror))
+        parts.append(_Block(matrix[np.ix_(b, b)], b))
+    return parts
+
+
+def _lifted_iteration(blocks, start, frame, tol, max_iter):
+    """:func:`iterate_until`'s outcome, found from powers of ``blocks``.
+
+    ``blocks`` are :func:`_lifting_blocks`' blocks of a channel ``Phi`` in
+    the unitary frame ``frame`` (None for no frame), and ``start`` is the
+    start state in that frame.  The step residual ``r_k = ||Phi^(k-1)(rho_1
+    - rho_0)||_1`` never grows with k, because a channel contracts the trace
+    norm.  So the first k with ``r_k <= tol`` is found by jumps of 2^j
+    collisions, the block powers ``Phi^(2^j)`` squared one by one while a
+    jump still lands on a residual above ``tol``, then by walking j back
+    down with the stored powers; each probe costs one ``eigvalsh`` of the
+    step.  Returns (state, iterations, residual, converged) as
+    :func:`iterate_until` does (``max_iter >= 1``), with the state rotated
+    back out of the frame.
+    """
+    side, vec = start.shape[0], start.ravel()
+    columns = []  # per block: the state after `count` collisions, its step
+    for block in blocks:
+        first = block.coordinates(vec)
+        moved = block.matrix @ first
+        columns.append(np.stack([moved, moved - first], axis=1))
+
+    def matrix_of(cols, which):
+        vec = np.zeros(side * side, dtype=complex)
+        for block, col in zip(blocks, cols):
+            block.write(col[:, which], vec)
+        return vec.reshape(side, side)
+
+    def residual_of(cols):
+        step = matrix_of(cols, 1)
+        # eigvalsh raises on a NaN matrix above D = 2
+        return hermitian_trace_norm(step) if np.isfinite(step).all() \
+            else np.nan
+
+    def probe(level, cols):
+        moved = [power @ col for power, col in zip(powers[level], cols)]
+        return moved, residual_of(moved)
+
+    powers = [[block.matrix for block in blocks]]
+    count, hit = 1, None  # hit: (columns, residual) of count + 1, once known
+    residual = residual_of(columns)
+    if not residual > tol:
+        count, hit = 0, (columns, residual)
+    level = 0
+    while hit is None and count + (1 << level) <= max_iter:
+        if level == len(powers):
+            powers.append([power @ power for power in powers[-1]])
+        moved, moved_residual = probe(level, columns)
+        if not moved_residual > tol:
+            hit = moved, moved_residual
+            break
+        count, columns, residual = count + (1 << level), moved, moved_residual
+        level += 1
+    for j in reversed(range(level)):
+        if count + (1 << j) <= max_iter:
+            moved, moved_residual = probe(j, columns)
+            if moved_residual > tol:
+                count, columns, residual = (count + (1 << j), moved,
+                                            moved_residual)
+            else:
+                hit = moved, moved_residual
+
+    converged = hit is not None and not np.isnan(hit[1])
+    if hit is not None:
+        columns, residual = hit
+    state = matrix_of(columns, 0)
+    if frame is not None:
+        state = frame @ state @ frame.conj().T
+    return state, count + 1 if converged else max_iter, residual, converged
 
 
 def factorized_eigenvector_count(h_total, dims, phi):

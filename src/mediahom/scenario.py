@@ -3,13 +3,11 @@
 ``run_scenario`` orchestrates the network builders, channel construction,
 and convergence analyses behind a single declarative config;  ``sweep``
 repeats it across a parameter grid, optionally in parallel, with rows
-always assembled in input order.  A fixed-point analysis runs in three
-steps: build the channel and its spectral report, iterate the fixed point,
-form the rows.  A sweep iterates consecutive points together (see
-:func:`_sweep_chunk`); ``run_scenario`` is a group of one point.
-``emit_csv`` serializes tables deterministically (12 significant digits,
-metadata in comment lines) so identical config + seed reproduces
-byte-identical output.
+always assembled in input order.  Each point runs on its own: a
+fixed-point analysis builds the channel, then its spectral report, then
+iterates the fixed point and forms the rows.  ``emit_csv`` serializes
+tables deterministically (12 significant digits, metadata in comment
+lines) so identical config + seed reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
 from .collision import CollisionChannel, checked_collision, joint_unitary
-from .config import ScenarioConfig, parse_config, set_by_path
+from .config import parse_config, set_by_path
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -33,7 +31,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .network import interaction_hamiltonian, system_hamiltonian
-from .tolerances import BLOCK_SPLIT_RTOL, LOCKSTEP_POINTS_LIMIT
+from .tolerances import BLOCK_SPLIT_RTOL
 
 _ANALYSIS_COLUMNS = {
     "fixed_point": (
@@ -159,13 +157,13 @@ def _framed_superoperator(cfg, channel):
     return channel._in_frame(frame).superoperator(), frame
 
 
-def _relaxing_report(cfg, channel):
-    """:func:`convergence.is_relaxing` of the channel, run in its bath frame.
+def _relaxing_report(cfg, sop, frame):
+    """:func:`convergence.is_relaxing` of a channel's framed superoperator.
 
-    The fixed point is found and checked in the frame, then rotated back
-    and made exactly Hermitian.
+    ``(sop, frame)`` is :func:`_framed_superoperator`'s pair.  The fixed
+    point is found and checked in the frame, then rotated back and made
+    exactly Hermitian.
     """
-    sop, frame = _framed_superoperator(cfg, channel)
     report = convergence.is_relaxing(sop, tol=cfg.peripheral_tol)
     if frame is None or report.fixed_point is None:
         return report
@@ -180,52 +178,42 @@ def _concurrence_12(state, cfg):
     return qmath.concurrence(pair)
 
 
-@dataclass
-class _PendingFixedPoint:
-    """A fixed-point analysis past its spectral step, before its iteration.
+def _fixed_point_rows(cfg, channel, rho0):
+    """The spectral report, then the iterated fixed point, of one point.
 
-    Keeps the channel's Kraus stack, not the channel, so that its joint
-    unitary is freed before the next sweep point is built.
+    The iteration lifts powers of the framed superoperator's blocks where
+    :func:`convergence._lifting_blocks` finds that cheaper, and collides
+    the Kraus stack otherwise; both give the Kraus loop's collision count.
     """
-
-    cfg: ScenarioConfig
-    kraus: np.ndarray
-    rho0: np.ndarray
-    report: convergence.ConvergenceReport
-
-    @property
-    def group_key(self):
-        """Points iterate together only if these agree."""
-        return self.rho0.shape[0], self.cfg.iterate_tol, self.cfg.max_iter
-
-
-def _iterate(points):
-    """Each point's ``(state, collisions)`` or its ConvergenceError."""
-    return convergence._iterated_fixed_points(
-        [p.kraus for p in points], [p.rho0 for p in points],
-        points[0].cfg.iterate_tol, points[0].cfg.max_iter,
+    rho0 = np.asarray(rho0, dtype=complex)
+    sop, frame = _framed_superoperator(cfg, channel)
+    report = _relaxing_report(cfg, sop, frame)
+    start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
+    blocks = convergence._lifting_blocks(
+        sop.matrix, start, len(channel._kraus), report.spectral_gap,
+        cfg.iterate_tol, cfg.max_iter,
     )
-
-
-def _fixed_point_rows(point, outcome):
-    """Rows of a fixed-point analysis from its iteration's ``outcome``.
-
-    ``outcome`` is ``(state, collisions)``, a ConvergenceError, or any
-    other exception the iteration ended with, which is raised here.
-    """
-    cfg, report = point.cfg, point.report
+    del sop  # only the touched blocks are held while they are squared
     status = "ok"
     state = report.fixed_point
-    if isinstance(outcome, ConvergenceError):
-        residual = outcome.residual
-        collisions = outcome.iterations
-        status = f"no convergence: {outcome}"
-    elif isinstance(outcome, Exception):
-        raise outcome
+    try:
+        if blocks is None:
+            iterated, collisions = convergence.iterative_fixed_point(
+                channel, rho0, tol=cfg.iterate_tol, max_iter=cfg.max_iter
+            )
+        else:
+            iterated, collisions = convergence._settled(
+                *convergence._lifted_iteration(
+                    blocks, start, frame, cfg.iterate_tol, cfg.max_iter
+                )
+            )
+    except ConvergenceError as exc:
+        residual = exc.residual
+        collisions = exc.iterations
+        status = f"no convergence: {exc}"
     else:
-        iterated, collisions = outcome
         residual = float(hermitian_trace_norm(
-            checked_collision(point.kraus, iterated) - iterated
+            checked_collision(channel._kraus, iterated) - iterated
         ))
         if state is None:
             state = iterated
@@ -281,7 +269,7 @@ def _spectrum_rows(cfg, channel, rho0):
 def _site_populations_rows(cfg, channel, rho0):
     dims = [cfg.local_dim] * cfg.sites
     ground = qmath.projector(qmath.basis_ket(cfg.local_dim, 0))
-    report = _relaxing_report(cfg, channel)
+    report = _relaxing_report(cfg, *_framed_superoperator(cfg, channel))
     if report.fixed_point is not None:
         state, status = report.fixed_point, "ok"
     else:
@@ -321,31 +309,25 @@ def _site_populations_rows(cfg, channel, rho0):
 
 
 _ANALYSIS_RUNNERS = {
+    "fixed_point": _fixed_point_rows,
     "trajectory": _trajectory_rows,
     "spectrum": _spectrum_rows,
     "site_populations": _site_populations_rows,
 }
 
 
-def _prepare(cfg, seed):
-    """A point's rows, or its pending iteration for a fixed-point analysis."""
+def _point_rows(cfg, seed):
+    """The rows of one point's configured analysis."""
     channel = build_scenario_channel(cfg)
     rho0 = _initial_state(cfg, channel.system_dim, seed)
-    if cfg.analysis != "fixed_point":
-        return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
-    report = _relaxing_report(cfg, channel)
-    return _PendingFixedPoint(cfg, channel._kraus,
-                              np.asarray(rho0, dtype=complex), report)
+    return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
 
 
 def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     """Execute one scenario; optional arguments override config tolerances."""
     cfg = _with_overrides(cfg, tol, max_iter)
     started = time.perf_counter()
-    point = _prepare(cfg, seed)
-    rows = point if isinstance(point, list) else _fixed_point_rows(
-        point, _iterate([point])[0]
-    )
+    rows = _point_rows(cfg, seed)
     elapsed = time.perf_counter() - started
     return ResultTable(
         columns=_ANALYSIS_COLUMNS[cfg.analysis],
@@ -388,43 +370,14 @@ def _guarded(fn, *args):
 
 
 def _sweep_chunk(args):
-    """One block of rows per sweep point of a contiguous chunk.
-
-    Each point is built and analysed spectrally on its own.  Fixed-point
-    analyses then iterate in lockstep, in groups of consecutive points that
-    share a system dimension, ``iterate_tol`` and ``max_iter``, at most
-    ``LOCKSTEP_POINTS_LIMIT`` each, and form their rows last.  A point
-    that fails before it iterates gets its error row and is not iterated.
-    """
+    """One block of rows per sweep point of a contiguous chunk, in order."""
     raw, param, values, seed, tol, max_iter = args
-    blocks = [None] * len(values)
-    group = []  # (index, pending point)
 
-    def finish_group():
-        try:
-            outcomes = _iterate([point for _, point in group])
-        except Exception as exc:  # fails every point of the group alike
-            outcomes = [exc] * len(group)
-        for (i, point), outcome in zip(group, outcomes):
-            blocks[i] = _guarded(_fixed_point_rows, point, outcome)
-        group.clear()
-
-    def prepare(value):
+    def rows(value):
         cfg = parse_config(set_by_path(raw, param, value))
-        return _prepare(_with_overrides(cfg, tol, max_iter), seed)
+        return _point_rows(_with_overrides(cfg, tol, max_iter), seed)
 
-    for i, value in enumerate(values):
-        point = _guarded(prepare, value)
-        if not isinstance(point, _PendingFixedPoint):
-            blocks[i] = point
-            continue
-        if group and (len(group) == LOCKSTEP_POINTS_LIMIT
-                      or group[0][1].group_key != point.group_key):
-            finish_group()
-        group.append((i, point))
-    if group:
-        finish_group()
-    return blocks
+    return [_guarded(rows, value) for value in values]
 
 
 def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,

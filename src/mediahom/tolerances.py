@@ -58,12 +58,6 @@ TRAJECTORY_ENTRIES_LIMIT = JOINT_DIM_LIMIT ** 2
 # A linspace sweep may ask for at most this many points.
 SWEEP_POINTS_LIMIT = 100_000
 
-# A sweep iterates the fixed points of at most this many consecutive points
-# together, in lockstep (points of one system dimension, iterate_tol and
-# max_iter).  Each holds its Kraus stack, which is no larger than the joint
-# unitary a single run already holds.
-LOCKSTEP_POINTS_LIMIT = 16
-
 # Iterative fixed-point defaults.
 DEFAULT_ITERATE_TOL = 1e-10
 DEFAULT_MAX_ITER = 20_000

@@ -1,14 +1,23 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
-from mediahom import collision, convergence, network, qmath
-from mediahom._kernels import apply_kraus, hermitian_trace_norm, iterate_until
+from mediahom import collision, convergence, network, qmath, scenario
+from mediahom._kernels import (
+    apply_kraus,
+    hermitian_trace_norm,
+    iterate_to_target,
+    iterate_until,
+)
 from mediahom.collision import CollisionChannel, Superoperator, build_channel
-from mediahom.config import parse_config
+from mediahom.config import parse_config, set_by_path
 from mediahom.convergence import (
     check_invariance,
     entropy_ratio,
@@ -425,25 +434,153 @@ def test_iterative_fixed_point_input_validation(rng):
         iterative_fixed_point(ch, np.eye(4) / 4)
 
 
-@pytest.mark.parametrize("dim", [2, 4, 8])
-def test_nan_point_ends_alone_in_its_lockstep_group(dim, rng):
-    # eigvalsh raises on a NaN matrix above dim 2: a NaN point must end as
-    # its own ConvergenceError and leave its neighbour's outcome as it is
-    kraus = CollisionChannel(qmath.random_unitary(2 * dim, rng),
-                             qmath.random_density(2, rng), (2,))._kraus
-    rho0 = qmath.random_density(dim, rng)
-    nan_state = np.full((dim, dim), np.nan, dtype=complex)
-    want = iterate_until(kraus, rho0, 1e-9, 5000)
-    assert want[3], "the random channel should relax within 5000 collisions"
-    got = iterate_until(np.stack([kraus, kraus]), np.stack([rho0, nan_state]),
-                        1e-9, 5000)
-    assert np.array_equal(got[0][0], want[0])
-    assert (got[1][0], got[2][0], got[3][0]) == want[1:]
-    good, lost = convergence._iterated_fixed_points(
-        [kraus, kraus], [rho0, nan_state], 1e-9, 5000
+def isometry_kraus(dim, rank, rng):
+    """A random channel: the first block column of a Haar unitary."""
+    u = qmath.random_unitary(dim * rank, rng)
+    return np.ascontiguousarray(u[:, :dim].reshape(rank, dim, dim))
+
+
+def kraus_superoperator(kraus):
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def assert_lifting_matches_kraus(matrix, frame, kraus, rho0, tol, max_iter):
+    """The lifted outcome against the one-channel Kraus loop's.
+
+    Same count and flag, the residual within 1e-9 relative and the state
+    within ``tol`` in trace norm.  The Kraus residual is the difference of
+    two unit-trace states, so it carries an absolute round-off near 1e-15,
+    which the 1e-14 allows for.
+    """
+    start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
+    # planned for 10**9 collisions, lifting always pays
+    blocks = convergence._lifting_blocks(matrix, start, len(kraus), 0.0, tol,
+                                         10 ** 9)
+    got = convergence._lifted_iteration(blocks, start, frame, tol, max_iter)
+    want = iterate_until(kraus, rho0, tol, max_iter)
+    assert (got[1], got[3]) == (want[1], want[3])
+    assert got[2] == pytest.approx(want[2], rel=1e-9, abs=1e-14)
+    assert hermitian_trace_norm(got[0] - want[0]) <= tol
+    return got
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]),
+       rank=st.integers(1, 4), log_tol=st.floats(-12, -6),
+       max_iter=st.integers(1, 5000))
+def test_lifted_iteration_matches_kraus_on_random_channels(
+        seed, dim, rank, log_tol, max_iter):
+    # rank 1 is a unitary channel, which runs to max_iter
+    rng = np.random.default_rng(seed)
+    kraus = isometry_kraus(dim, rank, rng)
+    assert_lifting_matches_kraus(
+        kraus_superoperator(kraus), None, kraus,
+        qmath.random_density(dim, rng), 10.0 ** log_tol, max_iter,
     )
-    assert np.array_equal(good[0], want[0]) and good[1] == want[1]
-    assert isinstance(lost, ConvergenceError) and math.isnan(lost.residual)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name,param,value", [
+    # two parity blocks of 128, in real form
+    ("anisotropy_entanglement_sweep", "delta", 0.5),
+    # nine blocks: four conjugate-twin pairs and a real one
+    ("anisotropy_entanglement_sweep", "delta", 1.0),
+    # a frame that splits nothing: one block of 256
+    ("entropy_ratio_sweep", "baths.0.state.mix.0", 0.5),
+    # no frame; the ground state touches one block of 20
+    ("swap_chain_homogenization", "t", 0.5),
+])
+def test_lifted_iteration_matches_kraus_on_bundled_points(name, param, value):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg = parse_config(set_by_path(raw, param, value))
+    channel = build_scenario_channel(cfg)
+    sop, frame = scenario._framed_superoperator(cfg, channel)
+    rho0 = scenario._initial_state(cfg, channel.system_dim)
+    got = assert_lifting_matches_kraus(sop.matrix, frame, channel._kraus,
+                                       np.asarray(rho0, dtype=complex),
+                                       cfg.iterate_tol, cfg.max_iter)
+    assert got[3]
+
+
+def test_lifted_iteration_never_converges_on_a_unitary_channel(rng):
+    # every step keeps the first step's trace norm
+    kraus = qmath.random_unitary(4, rng)[None]
+    rho0 = qmath.random_density(4, rng)
+    _, used, residual, converged = assert_lifting_matches_kraus(
+        kraus_superoperator(kraus), None, kraus, rho0, 1e-10, 300
+    )
+    assert (used, converged) == (300, False)
+    first = hermitian_trace_norm(apply_kraus(kraus, rho0) - rho0)
+    assert residual == pytest.approx(first, rel=1e-9)
+
+
+DAMPING = np.array([[[1, 0], [0, 0.6]], [[0, 0.8], [0, 0]]], dtype=complex)
+
+
+@pytest.mark.parametrize("kraus,entry", [
+    # a random channel is one self-twin block
+    (isometry_kraus(2, 2, np.random.default_rng(5)), 0),
+    # amplitude damping: the coherences (0, 1) and (1, 0) are twin blocks
+    (DAMPING, 1),
+], ids=["self_twin", "twin_pair"])
+def test_lifting_keeps_a_block_that_fails_its_symmetry_check_complex(
+        kraus, entry, rng):
+    matrix = kraus_superoperator(kraus)
+    # no longer maps Hermitian matrices to Hermitian ones
+    matrix[entry, entry] += 1e-9j
+    rho0 = qmath.random_density(2, rng)
+    blocks = convergence._lifting_blocks(matrix, rho0, 2, 0.0, 1e-9, 10 ** 9)
+    (block,) = [b for b in blocks if entry in b.idx]
+    assert block.layout is None and block.mirror is None
+    state, used, residual, converged = convergence._lifted_iteration(
+        blocks, rho0, None, 1e-9, 500
+    )
+    # the map is no longer a channel, so the first count is not promised;
+    # the state and step at the count found are the dense powers'
+    assert converged
+    before = np.linalg.matrix_power(matrix, used - 1) @ rho0.ravel()
+    after = matrix @ before
+    assert np.abs(state - after.reshape(2, 2)).max() <= 1e-12
+    step = hermitian_trace_norm((after - before).reshape(2, 2))
+    assert residual == pytest.approx(step, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_nan_start_never_converges_on_any_route(dim, rng):
+    # eigvalsh raises on a NaN matrix above dim 2: each route must stop on
+    # a NaN residual instead, with what running on to max_iter gives
+    kraus = isometry_kraus(dim, 2, rng)
+    nan_state = np.full((dim, dim), np.nan, dtype=complex)
+    blocks = convergence._lifting_blocks(kraus_superoperator(kraus),
+                                         nan_state, 2, 0.0, 1e-9, 10 ** 9)
+    lifted = convergence._lifted_iteration(blocks, nan_state, None, 1e-9, 5)
+    target = np.eye(dim, dtype=complex) / dim
+    for _, used, residual, converged in (
+        iterate_until(kraus, nan_state, 1e-9, 5),
+        iterate_to_target(kraus, nan_state, target, 1e-9, 5),
+        lifted,
+    ):
+        assert (used, converged) == (5, False) and math.isnan(residual)
+    with pytest.raises(ConvergenceError) as info:
+        convergence._settled(*lifted)
+    assert info.value.iterations == 5 and math.isnan(info.value.residual)
+
+
+def test_lifting_cost_rule_from_block_shapes():
+    # the anisotropy sweep's parity blocks at delta = 0.5, with its gap
+    parity = [(128, True)] * 2
+    assert convergence._lifting_pays(parity, 2, 16, 0.0137520884089, 1e-10,
+                                     20000)
+    # a gap of 0 plans max_iter collisions
+    assert not convergence._lifting_pays(parity, 2, 16, 0.0, 1e-10, 5)
+    assert convergence._lifting_pays(parity, 2, 16, 0.0, 1e-10, 20000)
+    # the 6-site two-bath chain (d = 64, 16 Kraus operators): a start on
+    # every block collides, one on the diagonal block alone lifts
+    blocks = [(924, True)] + [(n, False) for n in (792, 495, 220, 66, 12, 1)]
+    assert not convergence._lifting_pays(blocks, 16, 64, 0.0441, 1e-10, 20000)
+    assert convergence._lifting_pays(blocks[:1], 16, 64, 0.0441, 1e-10, 20000)
 
 
 def test_factorized_count_connected_chain():

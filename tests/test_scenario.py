@@ -19,7 +19,6 @@ from mediahom.scenario import (
     run_scenario,
     sweep,
 )
-from mediahom.tolerances import LOCKSTEP_POINTS_LIMIT
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -195,7 +194,9 @@ def test_bath_frame_report_matches_computational_frame(raw, framed):
     cfg = parse_config(raw)
     channel = build_scenario_channel(cfg)
     assert (scenario._bath_frame(cfg) is not None) == framed
-    got = scenario._relaxing_report(cfg, channel)
+    got = scenario._relaxing_report(
+        cfg, *scenario._framed_superoperator(cfg, channel)
+    )
     want = convergence.is_relaxing(channel.superoperator(),
                                    tol=cfg.peripheral_tol)
     assert got.relaxing and want.relaxing
@@ -439,11 +440,11 @@ SWAP_TOLERANCES = {"iterate_tol": 1e-10, "max_iter": 20000}
     # t = 1e308 fails in the channel build: an error row, not iterated
     (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
      "t", [0.5, 1e308], 1),
-    # more points than one lockstep group, serially and in two chunks
+    # 18 points, serially and in two chunks
     (bundled_raw("swap_chain_homogenization"), "t",
-     np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist(), 1),
+     np.linspace(0.2, 1.1, 18).tolist(), 1),
     (bundled_raw("swap_chain_homogenization"), "t",
-     np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist(), 2),
+     np.linspace(0.2, 1.1, 18).tolist(), 2),
 ], ids=["kraus_ranks", "sites", "max_iter", "iterate_tol", "error_row",
         "groups", "groups_jobs2"])
 def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
@@ -462,20 +463,25 @@ def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
     assert csv_body(table) == csv_body(ResultTable(table.columns, rows))
 
 
-def test_sweep_lockstep_groups_are_bounded(monkeypatch):
-    sizes = []
-    iterate = convergence._iterated_fixed_points
-
-    def recording(kraus_stacks, *args):
-        sizes.append(len(kraus_stacks))
-        return iterate(kraus_stacks, *args)
-
-    monkeypatch.setattr(convergence, "_iterated_fixed_points", recording)
-    raw = bundled_raw("swap_chain_homogenization")
-    sweep(parse_config(raw), param="t",
-          values=np.linspace(0.2, 1.1, LOCKSTEP_POINTS_LIMIT + 2).tolist())
-    assert sizes == [LOCKSTEP_POINTS_LIMIT, 2]
-    # a new system dimension starts a new group
-    sizes.clear()
-    sweep(parse_config(raw), param="sites", values=[3, 3, 4, 3])
-    assert sizes == [2, 1, 1]
+def test_sweep_iterates_each_point_after_its_spectral_step(monkeypatch):
+    # each point's iteration, lifted or Kraus, follows its own spectral
+    # step, so a sweep holds one point's blocks or Kraus stack at a time
+    events = []
+    for name in ("is_relaxing", "_lifted_iteration", "iterative_fixed_point"):
+        def recording(*args, _name=name, _run=getattr(convergence, name),
+                      **kwargs):
+            events.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(convergence, name, recording)
+    raw = bundled_raw("anisotropy_entanglement_sweep",
+                      tolerances=SWAP_TOLERANCES)
+    # at delta = 1, 5 collisions cost less to collide than to lift, the
+    # 3076 that 20000 allow do not
+    values = [5, 20000, 20000, 5]
+    sweep(parse_config(raw), param="tolerances.max_iter", values=values)
+    assert events == [
+        step for v in values for step in (
+            "is_relaxing",
+            "iterative_fixed_point" if v == 5 else "_lifted_iteration",
+        )
+    ]
