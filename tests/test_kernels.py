@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mediahom import qmath
+from mediahom import convergence, qmath
 from mediahom._kernels import _two_product_form, apply_kraus, backend_name
 from mediahom._kernels import hermitian_trace_norm, iterate_to_target
 from mediahom._kernels import iterate_until, trajectory
@@ -177,6 +177,39 @@ def test_screened_iteration_matches_exact_loop_without_convergence(rng):
     want = exact_loop(kraus, rho0, 1e-3, 50, target)
     assert not want[3]
     assert_same_outcome(iterate_to_target(kraus, rho0, target, 1e-3, 50), want)
+
+
+@pytest.mark.parametrize("dim,ranks", [(2, (2, 4, 1, 2)), (16, (4, 16, 1)),
+                                       (32, (1, 8))])
+def test_lockstep_iteration_matches_one_channel_at_a_time(dim, ranks, rng):
+    # The lifting route moves every block of a channel's superoperator in
+    # lockstep, by jumps of 2^j collisions; each channel must get the Kraus
+    # loop's count and flag, its residual within 1e-9 relative and its
+    # state within tol.  Rank 1 is a unitary channel, which runs to
+    # max_iter from a random state; at dim 2 the last channel starts from
+    # a NaN state.
+    kraus = [random_kraus(dim, rank, rng) for rank in ranks]
+    states = [qmath.random_density(dim, rng) for _ in ranks]
+    if dim == 2:
+        states[-1] = np.full((dim, dim), np.nan, dtype=complex)
+    tol, max_iter = 1e-9, 400
+    outcomes = set()
+    for ops, rho0 in zip(kraus, states):
+        matrix = sum(np.kron(k, k.conj()) for k in ops)
+        # planned for 10**9 collisions, lifting always pays
+        blocks = convergence._lifting_blocks(matrix, rho0, len(ops), 0.0,
+                                             tol, 10 ** 9)
+        got = convergence._lifted_iteration(blocks, rho0, None, tol,
+                                            max_iter)
+        want = iterate_until(ops, rho0, tol, max_iter)
+        assert (got[1], got[3]) == (want[1], want[3])
+        outcomes.add(want[3])
+        if np.isnan(want[2]):
+            assert np.isnan(got[2])
+            continue
+        assert got[2] == pytest.approx(want[2], rel=1e-9, abs=1e-14)
+        assert hermitian_trace_norm(got[0] - want[0]) <= tol
+    assert outcomes == {True, False}, "expected both outcomes"
 
 
 def test_nan_state_never_converges():
