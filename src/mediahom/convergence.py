@@ -3,8 +3,8 @@
 A channel is *relaxing* when iterating it drives every input to one fixed
 point; spectrally, eigenvalue 1 of its superoperator is simple and every
 other eigenvalue lies strictly inside the unit disk.  This module decides
-that verdict, extracts fixed points by eigendecomposition and by brute
-iteration (two deliberately independent routes), checks the
+that verdict, extracts fixed points from the spectrum's block split and by
+brute iteration (two deliberately independent routes), checks the
 convex-mixture closure property, quantifies how inhomogeneous collision
 sequences erase initial-state information, and provides the invariance
 and entropy-ratio diagnostics used by the scenario runners.
@@ -13,7 +13,7 @@ and entropy-ratio diagnostics used by the scenario runners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class ConvergenceReport:
     ``peripheral_count`` counts eigenvalues within the peripheral tolerance
     of the unit circle.  ``fixed_point`` is present whenever the verdict is
     relaxing, in which case ``residual`` bounds its self-consistency defect
-    and ``peripheral_count`` is 1.
+    and ``peripheral_count`` is 1.  ``_blocks`` is the superoperator's
+    block split (see :func:`_split`), which the fixed-point iteration
+    reuses.
     """
 
     relaxing: bool
@@ -59,6 +61,7 @@ class ConvergenceReport:
     peripheral_count: int
     iterations_used: int
     residual: float
+    _blocks: list = field(default_factory=list, compare=False, repr=False)
 
 
 # Rows (and columns) per cache-sized piece of an n x n pass at large n.
@@ -136,170 +139,199 @@ def _real_form(entries, p, h):
 
 
 def _from_real_form(vec, p, h):
-    """``T vec``: a real-form eigenvector in the block's own coordinates."""
+    """``T vec``: real-form coordinates as the block's complex entries."""
     sym, anti = vec[p:p + h], 1j * vec[p + h:]
     return np.concatenate(
         [vec[:p], (sym + anti) * _HALF_ROOT, (sym - anti) * _HALF_ROOT]
     )
 
 
-# Each block becomes a part: (eigenvalues, the matrix indices they live on,
-# column(j) = eigenvector of eigenvalue j on those indices, or None).
+@dataclass(frozen=True)
+class _Block:
+    """One block of a superoperator, acting on entries ``idx`` of a state.
 
-def _complex_part(matrix, idx, side):
-    """The complex eig of the block on sorted indices ``idx``.
-
-    Eigenvectors only if the block holds a diagonal entry ``(i, i)``, which
-    is index ``i * (side + 1)``.
+    With ``layout = (p, h)`` from :func:`_hermitian_layout`, ``matrix`` is
+    the block's real form (:func:`_real_form`) and acts on the entries'
+    real coordinates.  Without it, ``matrix`` acts on the complex entries,
+    and the conjugates fill the twin entries ``mirror`` if there are any.
     """
-    block = matrix if idx.size == matrix.shape[0] else matrix[np.ix_(idx, idx)]
-    if not (idx % (side + 1) == 0).any():
-        return np.linalg.eigvals(block), idx, None
-    vals, vecs = np.linalg.eig(block)
-    return vals, idx, lambda j: vecs[:, j]
+
+    matrix: np.ndarray
+    idx: np.ndarray
+    layout: tuple | None = None
+    mirror: np.ndarray | None = None
+
+    def eigvals(self):
+        """The eigenvalues of the block, and of its twin if it has one."""
+        vals = np.linalg.eigvals(self.matrix)
+        if self.mirror is None:
+            return vals
+        return np.concatenate([vals, vals.conj()])
+
+    def coordinates(self, vec):
+        """The block's coordinates of a vectorized Hermitian matrix."""
+        entries = vec[self.idx]
+        if self.layout is None:
+            return entries
+        p, h = self.layout
+        upper, lower = entries[p:p + h], entries[p + h:]
+        # T^H entries, real for a Hermitian matrix
+        return np.concatenate([entries[:p].real,
+                               (upper + lower).real * _HALF_ROOT,
+                               (upper - lower).imag * _HALF_ROOT])
+
+    def write(self, coords, vec):
+        """Write coordinates back into the vectorized matrix ``vec``."""
+        if self.layout is not None:
+            coords = _from_real_form(coords, *self.layout)
+        vec[self.idx] = coords
+        if self.mirror is not None:
+            vec[self.mirror] = coords.conj()
 
 
-def _self_twin_part(matrix, block, side, tol):
-    """A block the swap maps onto itself, by a real eig of its real form."""
-    idx, p, h = _hermitian_layout(block, side)
-    form = _real_form(matrix[np.ix_(idx, idx)].astype(complex, copy=False),
-                      p, h)
-    # Im(T^H B T) = T^H (B - conj(B[P, P])) T / 2i: bounding the part that
-    # is dropped checks the symmetry, to within a factor 4 entrywise
-    if not max(form.imag.max(), -form.imag.min()) <= tol:
-        return _complex_part(matrix, block, side)
-    real = form.real.copy()
-    del form
-    if not p:
-        return np.linalg.eigvals(real), idx, None
-    vals, vecs = np.linalg.eig(real)
-    # one column at a time: T vecs whole would be a second complex n x n
-    return vals, idx, lambda j: _from_real_form(vecs[:, j], p, h)
-
-
-def _twin_parts(matrix, block, swap, tol):
-    """Parts of ``block`` and its twin ``swap[block]`` from one ``eigvals``.
-
-    ``None`` when the twin is not the conjugate of the block.
-    """
-    entries = matrix[np.ix_(block, block)]
-    mirror = matrix[np.ix_(swap[block], swap[block])]
-    if not np.abs(mirror - entries.conj()).max() <= tol:
-        return None
-    del mirror
-    vals = np.linalg.eigvals(entries)
-    return (vals, block, None), (vals.conj(), swap[block], None)
-
-
-def _eig_by_blocks(matrix):
-    """Eigenvalues of ``matrix`` and a lookup of its fixed-point candidates.
+def _split(matrix):
+    """The blocks of a superoperator, as a list of :class:`_Block`.
 
     A conserved charge, such as the magnetization of an XXZ or swap network
     with diagonal baths, makes a superoperator block diagonal up to a
     permutation of its basis.  The blocks are the weakly connected
     components of the graph that links ``i`` and ``j`` wherever ``|S_ij|``
-    exceeds ``BLOCK_SPLIT_RTOL * max|S|``, and each block is
-    eigendecomposed on its own.  Returns ``(vals, eigenvector)``: ``vals``
-    concatenates the blocks' eigenvalues, the blocks ordered by their
-    smallest index, and ``eigenvector(k)`` is a full-length vector, zero
-    outside the block of ``vals[k]``.
-
-    Eigenvectors are computed only for blocks that hold a diagonal entry
-    ``(i, i)``, the only blocks a trace-1 fixed point can live in; there
-    ``eigenvector(k)`` is the right eigenvector of ``vals[k]``.  For every
-    other block it is the zero vector, whose trace, like that of any
-    vector of such a block, is exactly 0.
+    exceeds ``BLOCK_SPLIT_RTOL * max|S|``, ordered by their smallest index.
 
     A channel maps Hermitian matrices to Hermitian matrices, that is
     ``S[P, P] = conj(S)`` for the swap ``P: (i, j) -> (j, i)`` of a
     superoperator on ``d x d`` matrices.  Two shortcuts follow, each taken
     for a block only where it passes a check of that symmetry within the
-    split tolerance; a block that fails it gets the complex eig:
+    split tolerance; a block that fails it stays a complex block:
 
-    - a block mapped onto itself by ``P`` is real in the Hermitian basis
-      (:func:`_real_form`), so a real eig replaces the complex one.  The
-      check bounds the imaginary part that is dropped, which is
-      ``(S[b, b] - conj(S[P b, P b])) / 2i`` in that basis;
+    - a block mapped onto itself by ``P`` (every block that holds a
+      diagonal entry) is real in the Hermitian basis, so it is kept in its
+      real form (:func:`_real_form`) with its ``layout``.  The check bounds
+      the imaginary part that is dropped, which is ``(S[b, b] -
+      conj(S[P b, P b])) / 2i`` in that basis;
     - a block ``b`` mapped onto another block ``P b`` (its conjugate twin,
-      coherence number ``-c`` for ``c``) has the conjugate eigenvalues, so
-      one ``eigvals`` serves both.  Neither holds a diagonal entry.  The
-      check is ``max|S[P b, P b] - conj(S[b, b])|``.
+      coherence number ``-c`` for ``c``) is kept once, with ``mirror = P
+      b``: the twin acts on the conjugate entries and has the conjugate
+      eigenvalues.  The check is ``max|S[P b, P b] - conj(S[b, b])|``.
+
+    A non-finite matrix is not split: it is one complex block, which
+    ``eigvals`` refuses.
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[0]
     mags = np.abs(matrix)
     scale = mags.max(initial=0.0)
     if not np.isfinite(scale):
-        # a non-finite matrix is not split: it goes whole to eig, which
-        # rejects it
-        vals, vecs = np.linalg.eig(matrix)
-        return vals, lambda k: vecs[:, k]
+        return [_Block(matrix, np.arange(n))]
     tol = BLOCK_SPLIT_RTOL * scale
-    blocks = _components(mags > tol)
-    del mags  # not needed during the eigendecompositions
+    linked = mags > tol
+    del mags  # not needed while the components are found
+    blocks = _components(linked)
     side = math.isqrt(n)
     swap = np.arange(n).reshape(side, side).T.ravel()
     label = np.empty(n, dtype=int)
     for i, b in enumerate(blocks):
         label[b] = i
 
-    parts = [None] * len(blocks)
+    split, paired = [], set()
     for i, b in enumerate(blocks):
-        if parts[i] is not None:
-            continue  # solved with its twin
+        if i in paired:
+            continue  # kept with its twin
         twin = label[swap[b[0]]]
         # the swap must map the block onto a whole block; a twin before i
         # failed the symmetry check when it was reached
-        if twin < i or blocks[twin].size != b.size \
-                or (label[swap[b]] != twin).any():
-            parts[i] = _complex_part(matrix, b, side)
-        elif twin == i:
-            parts[i] = _self_twin_part(matrix, b, side, tol)
-        else:
-            pair = _twin_parts(matrix, b, swap, tol)
-            if pair is None:
-                parts[i] = _complex_part(matrix, b, side)
-            else:
-                parts[i], parts[twin] = pair
-
-    vals = np.concatenate([part[0] for part in parts])
-    sizes = [b.size for b in blocks]
-    owner = np.repeat(np.arange(len(blocks)), sizes)
-    start = np.cumsum([0] + sizes)
-
-    def eigenvector(k):
-        _, idx, column = parts[owner[k]]
-        vec = np.zeros(n, dtype=complex)
-        if column is not None:
-            vec[idx] = column(k - start[owner[k]])
-        return vec
-
-    return vals, eigenvector
+        whole = blocks[twin].size == b.size and (label[swap[b]] == twin).all()
+        if whole and twin == i:
+            idx, p, h = _hermitian_layout(b, side)
+            form = _real_form(
+                matrix[np.ix_(idx, idx)].astype(complex, copy=False), p, h
+            )
+            # Im(T^H B T) = T^H (B - conj(B[P, P])) T / 2i: bounding the
+            # part that is dropped checks the symmetry, to within a factor
+            # 4 entrywise
+            if max(form.imag.max(), -form.imag.min()) <= tol:
+                split.append(_Block(form.real.copy(), idx, (p, h)))
+                continue
+        elif whole and twin > i:
+            entries, mirror = matrix[np.ix_(b, b)], swap[b]
+            if np.abs(matrix[np.ix_(mirror, mirror)]
+                      - entries.conj()).max() <= tol:
+                split.append(_Block(entries, b, mirror=mirror))
+                paired.add(twin)
+                continue
+        split.append(_Block(matrix[np.ix_(b, b)], b))
+    return split
 
 
-def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
-    """Fixed point from a precomputed superoperator spectrum.
+def _solved_fixed_point(block, side):
+    """The fixed point of ``block`` with trace 1, vectorized, by one solve.
 
-    ``eigenvector(k)`` returns the right eigenvector of ``vals[k]``, or
-    any vector of trace 0 where no trace-1 fixed point can live.  The
-    eigenvalue within ``tol`` of 1 is selected; a degenerate cluster there
-    is an error.  Its eigenvector is Hermitian-symmetrized and
-    trace-normalized.  Positivity and the self-consistency residual under
-    the full superoperator are then validated.  Positivity failures are
-    surfaced, never repaired.
+    ``t`` is the trace functional on the block's coordinates: 1 on each
+    diagonal entry ``(i, i)``, index ``i * (side + 1)``, and 0 elsewhere
+    (a real form keeps the diagonal entries as its first coordinates).
+    With ``w = t / p`` for the ``p`` diagonal entries, ``x`` with ``(R - I
+    + w t^T) x = w`` has trace ``t^T x = 1``, and where 1 is an eigenvalue
+    of the block's matrix ``R`` it is the eigenvector.  By the matrix
+    determinant lemma the system is nonsingular when that eigenvalue is
+    simple and its eigenvector has a nonzero trace, so the caller checks
+    the simplicity first.  The solution is written back over the block's
+    entries of a zero vector of length ``side**2``.
     """
-    near_one = np.flatnonzero(np.abs(vals - 1.0) <= tol)
-    if near_one.size > 1:
+    trace = (block.idx % (side + 1) == 0).astype(float)
+    p = trace.sum()
+    if not p:
+        raise FixedPointNumericalError(
+            "fixed-point eigenvector is traceless; cannot normalize"
+        )
+    w = trace / p
+    system = block.matrix - np.eye(trace.size) + np.outer(w, trace)
+    try:
+        coords = np.linalg.solve(system, w)
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointNumericalError(
+            "the bordered fixed-point system is singular; eigenvalue 1 has "
+            "no eigenvector of nonzero trace"
+        ) from exc
+    vec = np.zeros(side * side, dtype=complex)
+    block.write(coords, vec)
+    return vec
+
+
+def _extract_fixed_point(sop, split, spectra, tol=DEGENERACY_ATOL):
+    """Fixed point from the split of ``sop`` and each block's eigenvalues.
+
+    ``spectra[k]`` holds the eigenvalues of ``split[k]`` (see
+    :meth:`_Block.eigvals`).  The eigenvalue within ``tol`` of 1 is
+    selected; a degenerate cluster there is an error.  Its block gives the
+    fixed point by :func:`_solved_fixed_point`, which
+    :func:`_validated_fixed_point` checks.
+    """
+    near_one = [block for block, vals in zip(split, spectra)
+                for _ in np.flatnonzero(np.abs(vals - 1.0) <= tol)]
+    if len(near_one) > 1:
         raise DegenerateFixedPointError(
-            f"{near_one.size} eigenvalues lie within {tol:.0e} "
+            f"{len(near_one)} eigenvalues lie within {tol:.0e} "
             "of 1; the fixed point is not unique"
         )
-    if near_one.size == 0:
+    if not near_one:
         raise FixedPointNumericalError(
             "no eigenvalue within tolerance of 1; the map does not preserve "
             "the trace"
         )
-    candidate = unvectorize(eigenvector(near_one[0]), sop.dim)
+    return _validated_fixed_point(
+        sop, _solved_fixed_point(near_one[0], sop.dim)
+    )
+
+
+def _validated_fixed_point(sop, vec):
+    """``(rho, residual)`` of a vectorized fixed-point candidate.
+
+    The candidate is Hermitian-symmetrized and trace-normalized.
+    Positivity and the self-consistency residual under the full
+    superoperator are then validated.  Positivity failures are surfaced,
+    never repaired.
+    """
+    candidate = unvectorize(vec, sop.dim)
     candidate = (candidate + candidate.conj().T) / 2.0
     trace = candidate.trace().real
     if abs(trace) < 1e-12:
@@ -323,22 +355,27 @@ def _extract_fixed_point(sop, vals, eigenvector, tol=DEGENERACY_ATOL):
 
 
 def spectral_fixed_point(sop):
-    """The unique stationary state of a channel, by eigendecomposition."""
-    rho, _ = _extract_fixed_point(sop, *_eig_by_blocks(sop.matrix))
+    """The unique stationary state of a channel, from its spectrum."""
+    split = _split(sop.matrix)
+    rho, _ = _extract_fixed_point(sop, split,
+                                  [block.eigvals() for block in split])
     return rho
 
 
 def is_relaxing(sop, tol=PERIPHERAL_ATOL):
-    """Spectral relaxedness verdict; never raises, the report explains.
+    """Spectral relaxedness verdict; the report explains a negative one.
 
     Relaxing iff exactly one eigenvalue has modulus within ``tol`` of the
     unit circle (that one is the trace-preservation eigenvalue 1).  The
     same ``tol`` decides whether that eigenvalue is simple.  The spectrum
     is computed block by block when the superoperator splits into
-    independent blocks (see :func:`_eig_by_blocks`).
+    independent blocks (see :func:`_split`); the report keeps the split.
+    A superoperator with a NaN or infinite entry raises
+    ``numpy.linalg.LinAlgError``.
     """
-    vals, eigenvector = _eig_by_blocks(sop.matrix)
-    mods = np.sort(np.abs(vals))[::-1]
+    split = _split(sop.matrix)
+    spectra = [block.eigvals() for block in split]
+    mods = np.sort(np.abs(np.concatenate(spectra)))[::-1]
     peripheral = int(np.count_nonzero(mods > 1.0 - tol))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
     if peripheral == 0:
@@ -349,7 +386,7 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
                   "circle; iterates do not forget the initial state")
     else:
         try:
-            rho, residual = _extract_fixed_point(sop, vals, eigenvector, tol)
+            rho, residual = _extract_fixed_point(sop, split, spectra, tol)
         except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
             reason = ("unique peripheral eigenvalue but fixed-point "
                       f"extraction failed: {exc}")
@@ -358,11 +395,12 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
                 relaxing=True,
                 reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
                 fixed_point=rho, spectral_gap=gap, peripheral_count=1,
-                iterations_used=0, residual=residual,
+                iterations_used=0, residual=residual, _blocks=split,
             )
     return ConvergenceReport(
         relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
         peripheral_count=peripheral, iterations_used=0, residual=float("inf"),
+        _blocks=split,
     )
 
 
@@ -403,42 +441,6 @@ def _settled(state, used, residual, converged):
     return state, int(used)
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One block of a superoperator, acting on entries ``idx`` of a state.
-
-    With ``layout = (p, h)`` from :func:`_hermitian_layout`, ``matrix`` is
-    the block's real form (:func:`_real_form`) and acts on the entries'
-    real coordinates.  Without it, ``matrix`` acts on the complex entries,
-    and the conjugates fill the twin entries ``mirror`` if there are any.
-    """
-
-    matrix: np.ndarray
-    idx: np.ndarray
-    layout: tuple | None = None
-    mirror: np.ndarray | None = None
-
-    def coordinates(self, vec):
-        """The block's coordinates of a vectorized Hermitian matrix."""
-        entries = vec[self.idx]
-        if self.layout is None:
-            return entries
-        p, h = self.layout
-        upper, lower = entries[p:p + h], entries[p + h:]
-        # T^H entries, real for a Hermitian matrix
-        return np.concatenate([entries[:p].real,
-                               (upper + lower).real * _HALF_ROOT,
-                               (upper - lower).imag * _HALF_ROOT])
-
-    def write(self, coords, vec):
-        """Write coordinates back into the vectorized matrix ``vec``."""
-        if self.layout is not None:
-            coords = _from_real_form(coords, *self.layout)
-        vec[self.idx] = coords
-        if self.mirror is not None:
-            vec[self.mirror] = coords.conj()
-
-
 def _lifting_pays(blocks, rank, dim, gap, tol, max_iter):
     """Is squaring ``blocks`` cheaper than colliding a Kraus stack?
 
@@ -460,76 +462,23 @@ def _lifting_pays(blocks, rank, dim, gap, tol, max_iter):
             < collisions * 8 * rank * dim ** 3)
 
 
-def _lifting_blocks(matrix, start, rank, gap, tol, max_iter):
-    """The blocks of a superoperator that ``start`` touches, or None.
+def _lifting_blocks(blocks, start, rank, gap, tol, max_iter):
+    """The blocks of a split that ``start`` touches, or None.
 
-    ``matrix`` splits into the weakly connected blocks of its entries
-    above ``BLOCK_SPLIT_RTOL``, as in :func:`_eig_by_blocks`.  A block is
-    kept if ``start`` or its transpose has a nonzero entry there: a
-    self-twin block in its real form, one complex block per conjugate-twin
-    pair, and any block that fails its symmetry check as a complex block.
-    The blocks the start does not touch stay zero under every power of
-    ``matrix``.
-    None when :func:`_lifting_pays` finds colliding the channel's
-    ``rank`` Kraus operators cheaper, given the spectral ``gap``, ``tol``
-    and ``max_iter``.
+    ``blocks`` is a channel superoperator's :func:`_split`, such as the one
+    :func:`is_relaxing`'s report keeps.  A block is kept if ``start`` or
+    its transpose has a nonzero entry there; the blocks the start does not
+    touch stay zero under every power of the superoperator.  None when
+    :func:`_lifting_pays` finds colliding the channel's ``rank`` Kraus
+    operators cheaper, given the spectral ``gap``, ``tol`` and
+    ``max_iter``.
     """
-    n, side = matrix.shape[0], start.shape[0]
-    # A channel's superoperator has entries of modulus at most 1 (by
-    # Cauchy-Schwarz, as sum_K K^dag K = I), so the split tolerance serves
-    # as an absolute one here, with no pass for the largest entry.  |S| is
-    # taken a chunk of rows at a time: a whole n x n float copy would cost
-    # more than the split itself at n = 4096.
-    split_tol = BLOCK_SPLIT_RTOL
-    linked = np.empty(matrix.shape, dtype=bool)
-    for i in range(0, n, _TILE):
-        np.greater(np.abs(matrix[i:i + _TILE]), split_tol,
-                   out=linked[i:i + _TILE])
-    blocks = _components(linked)
-    del linked
-    swap = np.arange(n).reshape(side, side).T.ravel()
-    label = np.empty(n, dtype=int)
-    for i, b in enumerate(blocks):
-        label[b] = i
     support = ((start != 0) | (start.T != 0)).ravel()
-
-    kept = []  # (block, kind)
-    paired = set()
-    for i, b in enumerate(blocks):
-        if i in paired or not support[b].any():
-            continue
-        twin = label[swap[b[0]]]
-        if blocks[twin].size != b.size or (label[swap[b]] != twin).any():
-            kept.append((b, "complex"))
-        elif twin == i:
-            kept.append((b, "real"))
-        else:
-            kept.append((b, "pair"))
-            paired.add(twin)
-    shapes = [(b.size, kind == "real") for b, kind in kept]
-    if not _lifting_pays(shapes, rank, side, gap, tol, max_iter):
+    touched = [block for block in blocks if support[block.idx].any()]
+    shapes = [(block.idx.size, block.layout is not None) for block in touched]
+    if not _lifting_pays(shapes, rank, start.shape[0], gap, tol, max_iter):
         return None
-
-    parts = []
-    for b, kind in kept:
-        if kind == "real":
-            idx, p, h = _hermitian_layout(b, side)
-            form = _real_form(
-                matrix[np.ix_(idx, idx)].astype(complex, copy=False), p, h
-            )
-            # the check of :func:`_self_twin_part`
-            if max(form.imag.max(), -form.imag.min()) <= split_tol:
-                parts.append(_Block(form.real.copy(), idx, (p, h)))
-                continue
-        elif kind == "pair":
-            entries, mirror = matrix[np.ix_(b, b)], swap[b]
-            twin = matrix[np.ix_(mirror, mirror)]
-            if np.abs(twin - entries.conj()).max() <= split_tol:
-                parts.append(_Block(entries, b, mirror=mirror))
-                continue
-            parts.append(_Block(twin, mirror))
-        parts.append(_Block(matrix[np.ix_(b, b)], b))
-    return parts
+    return touched
 
 
 def _lifted_iteration(blocks, start, frame, tol, max_iter):

@@ -181,19 +181,22 @@ def _concurrence_12(state, cfg):
 def _fixed_point_rows(cfg, channel, rho0):
     """The spectral report, then the iterated fixed point, of one point.
 
-    The iteration lifts powers of the framed superoperator's blocks where
+    The framed superoperator is split into blocks once: the report's
+    eigenvalues, its fixed point (a bordered solve on the block of
+    eigenvalue 1) and the iteration all use that split.  The iteration
+    lifts powers of the blocks the start state touches where
     :func:`convergence._lifting_blocks` finds that cheaper, and collides
     the Kraus stack otherwise; both give the Kraus loop's collision count.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     sop, frame = _framed_superoperator(cfg, channel)
     report = _relaxing_report(cfg, sop, frame)
+    del sop  # only the report's blocks are held while they are squared
     start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
     blocks = convergence._lifting_blocks(
-        sop.matrix, start, len(channel._kraus), report.spectral_gap,
+        report._blocks, start, len(channel._kraus), report.spectral_gap,
         cfg.iterate_tol, cfg.max_iter,
     )
-    del sop  # only the touched blocks are held while they are squared
     status = "ok"
     state = report.fixed_point
     try:
@@ -258,7 +261,9 @@ def _trajectory_rows(cfg, channel, rho0):
 
 def _spectrum_rows(cfg, channel, rho0):
     sop, _ = _framed_superoperator(cfg, channel)
-    vals, _ = convergence._eig_by_blocks(sop.matrix)
+    vals = np.concatenate(
+        [block.eigvals() for block in convergence._split(sop.matrix)]
+    )
     order = np.argsort(-np.abs(vals))
     return [
         (i, float(vals[j].real), float(vals[j].imag), float(abs(vals[j])), "ok")

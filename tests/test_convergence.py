@@ -149,32 +149,70 @@ BLOCK_CASES = {
 }
 
 
+def split_vals(split):
+    """The eigenvalues of a split's blocks, concatenated in split order."""
+    return np.concatenate([block.eigvals() for block in split])
+
+
+def dense_fixed_point(matrix, side):
+    """The oracle: dense eig's eigenvector of the eigenvalue nearest 1.
+
+    Returns the vector scaled to trace 1, and the state it gives once
+    Hermitian-symmetrized and normalized.
+    """
+    vals, vecs = np.linalg.eig(matrix)
+    vec = vecs[:, np.argmin(np.abs(vals - 1.0))]
+    vec = vec / vec.reshape(side, side).trace()
+    rho = vec.reshape(side, side)
+    rho = (rho + rho.conj().T) / 2.0
+    return vec, rho / rho.trace().real
+
+
+def eigenvalue_one_block(matrix):
+    """The one block of the split with an eigenvalue within tol of 1."""
+    (block,) = [b for b in convergence._split(matrix)
+                if (np.abs(b.eigvals() - 1.0) <= PERIPHERAL_ATOL).any()]
+    return block
+
+
+def solved_vector(matrix, side):
+    """The bordered solve on the block that holds eigenvalue 1."""
+    return convergence._solved_fixed_point(eigenvalue_one_block(matrix), side)
+
+
+def never_solve(monkeypatch):
+    """Make any bordered solve fail the test."""
+    def refuse(*args):
+        raise AssertionError("the bordered solve ran")
+    monkeypatch.setattr(convergence, "_solved_fixed_point", refuse)
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocked_spectrum_matches_dense_oracle(case):
     raw, splits = BLOCK_CASES[case]
     sop = scenario_sop(**raw)
-    vals, eigenvector = convergence._eig_by_blocks(sop.matrix)
-    dense_vals, dense_vecs = np.linalg.eig(sop.matrix)
+    split = convergence._split(sop.matrix)
+    vals = split_vals(split)
+    dense_vals = np.linalg.eigvals(sop.matrix)
+    assert_same_multiset(vals, dense_vals)
 
-    # the same eigenvalue multiset, paired by a minimum-distance matching
-    dist = np.abs(vals[:, None] - dense_vals[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    assert vals.shape == dense_vals.shape
-    assert dist[rows, cols].max() < 1e-12
-
-    # block structure, found independently of the code under test
+    # block structure, found independently of the code under test: each
+    # block of the split, and each twin it stands for, is one component
     linked = np.abs(sop.matrix) > BLOCK_SPLIT_RTOL * np.abs(sop.matrix).max()
     n_blocks, labels = connected_components(
         linked, directed=True, connection="weak"
     )
     assert (n_blocks > 1) == splits
-    owner = eigenvalue_owner(labels)
-    diagonal = diagonal_blocks(labels, sop.dim)
-    for k in range(vals.size):
-        support = np.unique(labels[np.flatnonzero(eigenvector(k))])
-        # a vector only for blocks that hold a diagonal entry, on that block
-        expected = [owner[k]] if owner[k] in diagonal else []
-        assert support.tolist() == expected
+    components = sorted(np.flatnonzero(labels == label).tolist()
+                        for label in range(n_blocks))
+    covered = sorted(sorted(idx.tolist()) for block in split
+                     for idx in (block.idx, block.mirror) if idx is not None)
+    assert covered == components
+
+    # the solve on the block of eigenvalue 1 is the dense eigenvector
+    oracle_vec, oracle_rho = dense_fixed_point(sop.matrix, sop.dim)
+    assert np.abs(solved_vector(sop.matrix, sop.dim) - oracle_vec).max() \
+        < 1e-12
 
     report = is_relaxing(sop)
     assert report.relaxing
@@ -183,30 +221,8 @@ def test_blocked_spectrum_matches_dense_oracle(case):
         dense_mods > 1.0 - PERIPHERAL_ATOL
     )
     assert abs(report.spectral_gap - (1.0 - dense_mods[1])) < 1e-12
-    dense_rho, _ = convergence._extract_fixed_point(
-        sop, dense_vals, lambda k: dense_vecs[:, k]
-    )
-    assert np.abs(report.fixed_point - dense_rho).max() < 1e-12
-    assert np.abs(spectral_fixed_point(sop) - dense_rho).max() < 1e-12
-
-
-def eigenvalue_owner(labels):
-    """Block label of each eigenvalue that ``_eig_by_blocks`` returns.
-
-    The blocks' eigenvalues are concatenated with the blocks ordered by
-    their smallest index.
-    """
-    first = {label: np.flatnonzero(labels == label)[0]
-             for label in np.unique(labels)}
-    order = sorted(first, key=first.get)
-    return np.concatenate(
-        [np.full(np.count_nonzero(labels == label), label) for label in order]
-    )
-
-
-def diagonal_blocks(labels, side):
-    """Labels of the blocks that hold a diagonal entry ``(i, i)``."""
-    return set(labels[np.arange(side) * (side + 1)].tolist())
+    assert np.abs(report.fixed_point - oracle_rho).max() < 1e-12
+    assert np.abs(spectral_fixed_point(sop) - oracle_rho).max() < 1e-12
 
 
 def swap_permutation(side):
@@ -226,7 +242,7 @@ REAL_FORM_CASES = {
 
 
 @pytest.mark.parametrize("case", REAL_FORM_CASES)
-def test_real_form_and_twins_against_dense_oracle(case):
+def test_real_form_and_twins_against_dense_oracle(case, monkeypatch):
     build, has_twins = REAL_FORM_CASES[case]
     sop = build()
     matrix, side = sop.matrix, sop.dim
@@ -255,37 +271,39 @@ def test_real_form_and_twins_against_dense_oracle(case):
         assert np.abs(real - t.conj().T @ b @ t).max() < 1e-15
         assert np.abs(real.imag).max() <= 1e-15
 
-    # every eigenvector of a block that holds a diagonal entry, and none
-    # of any other block
-    vals, eigenvector = convergence._eig_by_blocks(matrix)
-    norm = np.linalg.norm(matrix, 2)
-    owner = eigenvalue_owner(labels)
-    diagonal = diagonal_blocks(labels, side)
-    for k in range(vals.size):
-        vec = eigenvector(k)
-        support = np.unique(labels[np.flatnonzero(vec)])
-        if owner[k] not in diagonal:
-            assert support.size == 0
-            continue
-        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
-        assert support.tolist() == [owner[k]]
-    for label in np.unique(labels):
-        block = np.flatnonzero(labels == label)
-        assert_same_multiset(vals[owner == label],
-                             np.linalg.eigvals(matrix[np.ix_(block, block)]))
-
-    # twins: block P b holds exactly the conjugates of block b's eigenvalues
+    # every self-twin block is kept in its real form, every twin pair as
+    # one block with its mirror; each block's eigenvalues, and its twin's,
+    # are those of the dense blocks: the twin's the conjugates
+    split = convergence._split(matrix)
     twins = 0
-    for label in np.unique(labels):
-        mirror = labels[swap[np.flatnonzero(labels == label)[0]]]
-        if mirror != label:
+    for block in split:
+        assert (block.layout is not None) == (labels[swap[block.idx[0]]]
+                                              == labels[block.idx[0]])
+        dense = np.linalg.eigvals(matrix[np.ix_(block.idx, block.idx)])
+        if block.mirror is not None:
             twins += 1
-            assert np.array_equal(np.sort_complex(vals[owner == mirror]),
-                                  np.sort_complex(vals[owner == label].conj()))
+            mirrored = np.linalg.eigvals(
+                matrix[np.ix_(block.mirror, block.mirror)]
+            )
+            assert_same_multiset(mirrored, dense.conj())
+            dense = np.concatenate([dense, mirrored])
+        assert_same_multiset(block.eigvals(), dense)
     assert (twins > 0) == has_twins
+    assert_same_multiset(split_vals(split), np.linalg.eigvals(matrix))
 
-    assert_same_multiset(vals, np.linalg.eigvals(matrix))
+    # the solve against the dense eigenvector where the channel relaxes;
+    # X-conjugation is refused before any solve
+    if case == "x_conjugation":
+        never_solve(monkeypatch)
+        assert not is_relaxing(sop).relaxing
+        with pytest.raises(DegenerateFixedPointError):
+            spectral_fixed_point(sop)
+        return
+    oracle_vec, oracle_rho = dense_fixed_point(matrix, side)
+    vec = solved_vector(matrix, side)
+    assert np.abs(vec - oracle_vec).max() < 1e-12
+    assert np.linalg.norm(matrix @ vec - vec) <= 1e-12
+    assert np.abs(is_relaxing(sop).fixed_point - oracle_rho).max() < 1e-12
 
 
 def assert_same_multiset(vals, oracle):
@@ -298,8 +316,9 @@ def assert_same_multiset(vals, oracle):
 
 @pytest.mark.parametrize("mirrored_blocks", [False, True])
 def test_non_hermiticity_preserving_matrix_matches_dense_eig(mirrored_blocks):
-    # a random matrix fails the check and takes the complex eig; so does a
-    # matrix whose blocks mirror each other but whose entries do not
+    # a random matrix fails the check and stays a complex block; so does
+    # every block of a matrix whose blocks mirror each other but whose
+    # entries do not
     rng = np.random.default_rng(7)
     if mirrored_blocks:
         sop = scenario_sop(**BLOCK_CASES["xxz_two_diagonal_baths"][0])
@@ -309,39 +328,60 @@ def test_non_hermiticity_preserving_matrix_matches_dense_eig(mirrored_blocks):
         matrix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     swap = swap_permutation(math.isqrt(matrix.shape[0]))
     assert np.abs(matrix[np.ix_(swap, swap)] - matrix.conj()).max() > 1e-3
-    vals, eigenvector = convergence._eig_by_blocks(matrix)
-    dense = np.linalg.eigvals(matrix)
-    dist = np.abs(vals[:, None] - dense[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    assert vals.shape == dense.shape
-    assert dist[rows, cols].max() < 1e-12
-    norm = np.linalg.norm(matrix, 2)
-    for k in range(vals.size):
-        vec = eigenvector(k)
-        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
+    split = convergence._split(matrix)
+    assert all(block.layout is None and block.mirror is None
+               for block in split)
+    n_blocks, _ = connected_components(
+        np.abs(matrix) > BLOCK_SPLIT_RTOL * np.abs(matrix).max(),
+        directed=True, connection="weak",
+    )
+    assert len(split) == n_blocks and (n_blocks > 1) == mirrored_blocks
+    for block in split:
+        assert np.array_equal(block.matrix,
+                              matrix[np.ix_(block.idx, block.idx)])
+    assert_same_multiset(split_vals(split), np.linalg.eigvals(matrix))
 
 
 def test_complex_route_serves_diagonal_block_vectors():
-    # a random matrix fails the symmetry check and is one block holding
-    # every diagonal entry, so its complex eig serves every eigenvector
+    # a random matrix fails the symmetry check and is one complex block
+    # holding every diagonal entry
     rng = np.random.default_rng(7)
     matrix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    vals, eigenvector = convergence._eig_by_blocks(matrix)
-    norm = np.linalg.norm(matrix, 2)
-    for k in range(vals.size):
-        vec = eigenvector(k)
-        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-        assert np.linalg.norm(matrix @ vec - vals[k] * vec) <= 1e-12 * norm
+    (block,) = convergence._split(matrix)
+    assert block.layout is None and block.mirror is None
+    assert np.array_equal(block.idx, np.arange(16))
+    # a random channel is one self-twin block; 1e-9j on the diagonal entry
+    # (0, 0) fails its symmetry check, so the block stays complex and the
+    # solve runs in complex coordinates.  The oracle is eig of the
+    # perturbed matrix.  The bordered system pins the eigenvalue at exactly
+    # 1 where the perturbed one is 1 + 5e-10j, so the two agree to first
+    # order in the perturbation.
+    kraus = isometry_kraus(2, 2, np.random.default_rng(5))
+    matrix = kraus_superoperator(kraus)
+    matrix[0, 0] += 1e-9j
+    (block,) = convergence._split(matrix)
+    assert block.layout is None and block.mirror is None
+    assert np.abs(block.eigvals() - 1.0).min() > 1e-10
+    oracle_vec, oracle_rho = dense_fixed_point(matrix, 2)
+    assert np.abs(convergence._solved_fixed_point(block, 2)
+                  - oracle_vec).max() < 1e-9
+    report = is_relaxing(Superoperator(dim=2, matrix=matrix))
+    assert report.relaxing, report.reason
+    assert np.abs(report.fixed_point - oracle_rho).max() < 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 8])
-def test_identity_channel_counts_every_singleton_block(dim):
+def test_identity_channel_counts_every_singleton_block(dim, monkeypatch):
     sop = Superoperator(dim=dim, matrix=np.eye(dim * dim, dtype=complex))
-    vals, eigenvector = convergence._eig_by_blocks(sop.matrix)
-    assert np.array_equal(vals, np.ones(dim * dim))
-    # index dim + 1 is the diagonal entry (1, 1), index dim is (1, 0)
-    assert np.count_nonzero(eigenvector(dim + 1)) == 1
-    assert not eigenvector(dim).any()
+    split = convergence._split(sop.matrix)
+    assert np.array_equal(split_vals(split), np.ones(dim * dim))
+    # a real singleton per diagonal entry (i, i), one twin pair per (i, j)
+    # with i < j
+    assert sorted((b.idx.size, b.layout is not None, b.mirror is not None)
+                  for b in split) == (
+        [(1, False, True)] * (dim * (dim - 1) // 2) + [(1, True, False)] * dim
+    )
+    never_solve(monkeypatch)
     report = is_relaxing(sop)
     assert not report.relaxing
     assert report.peripheral_count == dim * dim
@@ -349,21 +389,36 @@ def test_identity_channel_counts_every_singleton_block(dim):
 
 @pytest.mark.parametrize("coherences", [
     [[0.5, 0.5], [0.5, 0.5]],   # a self-twin block, real form
-    [[1.0, 0.0], [0.0, 0.5]],   # twins that fail the check, complex eig
+    [[1.0, 0.0], [0.0, 0.5]],   # twins that fail the check, complex blocks
 ], ids=["self_twin", "failed_twins"])
 def test_eigenvalue_one_without_diagonal_entry_is_traceless(coherences):
-    # eigenvalue 1 in the block of the coherences (0, 1) and (1, 0): its
-    # eigenvector has trace 0, so there is no fixed point to extract
+    # eigenvalue 1 in the block of the coherences (0, 1) and (1, 0): every
+    # vector there has trace 0, so there is no fixed point to extract
     matrix = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     matrix[1:3, 1:3] = coherences
     sop = Superoperator(dim=2, matrix=matrix)
-    # eigenvalues 1 and 2 are those of the coherences; no vector is served
-    _, eigenvector = convergence._eig_by_blocks(matrix)
-    assert not eigenvector(1).any() and not eigenvector(2).any()
+    block = eigenvalue_one_block(matrix)
+    assert 0 not in block.idx and 3 not in block.idx
+    with pytest.raises(FixedPointNumericalError, match="traceless"):
+        convergence._solved_fixed_point(block, 2)
     report = is_relaxing(sop)
     assert not report.relaxing and report.peripheral_count == 1
     assert "fixed-point eigenvector is traceless" in report.reason
     with pytest.raises(FixedPointNumericalError, match="traceless"):
+        spectral_fixed_point(sop)
+
+
+def test_singular_bordered_system_is_a_numerical_error():
+    # the diagonal entries' block has the simple eigenvalue 1 with the
+    # traceless eigenvector (1, -1), and 0.5 with (1, 1): the bordered
+    # system is exactly singular, and refused as a numerical failure
+    matrix = np.diag([0.75, 0.5, 0.5, 0.75]).astype(complex)
+    matrix[0, 3] = matrix[3, 0] = -0.25
+    sop = Superoperator(dim=2, matrix=matrix)
+    report = is_relaxing(sop)
+    assert not report.relaxing and report.peripheral_count == 1
+    assert "bordered fixed-point system is singular" in report.reason
+    with pytest.raises(FixedPointNumericalError, match="singular"):
         spectral_fixed_point(sop)
 
 
@@ -454,8 +509,8 @@ def assert_lifting_matches_kraus(matrix, frame, kraus, rho0, tol, max_iter):
     """
     start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
     # planned for 10**9 collisions, lifting always pays
-    blocks = convergence._lifting_blocks(matrix, start, len(kraus), 0.0, tol,
-                                         10 ** 9)
+    blocks = convergence._lifting_blocks(convergence._split(matrix), start,
+                                         len(kraus), 0.0, tol, 10 ** 9)
     got = convergence._lifted_iteration(blocks, start, frame, tol, max_iter)
     want = iterate_until(kraus, rho0, tol, max_iter)
     assert (got[1], got[3]) == (want[1], want[3])
@@ -531,7 +586,8 @@ def test_lifting_keeps_a_block_that_fails_its_symmetry_check_complex(
     # no longer maps Hermitian matrices to Hermitian ones
     matrix[entry, entry] += 1e-9j
     rho0 = qmath.random_density(2, rng)
-    blocks = convergence._lifting_blocks(matrix, rho0, 2, 0.0, 1e-9, 10 ** 9)
+    blocks = convergence._lifting_blocks(convergence._split(matrix), rho0, 2,
+                                         0.0, 1e-9, 10 ** 9)
     (block,) = [b for b in blocks if entry in b.idx]
     assert block.layout is None and block.mirror is None
     state, used, residual, converged = convergence._lifted_iteration(
@@ -553,8 +609,10 @@ def test_nan_start_never_converges_on_any_route(dim, rng):
     # a NaN residual instead, with what running on to max_iter gives
     kraus = isometry_kraus(dim, 2, rng)
     nan_state = np.full((dim, dim), np.nan, dtype=complex)
-    blocks = convergence._lifting_blocks(kraus_superoperator(kraus),
-                                         nan_state, 2, 0.0, 1e-9, 10 ** 9)
+    blocks = convergence._lifting_blocks(
+        convergence._split(kraus_superoperator(kraus)), nan_state, 2, 0.0,
+        1e-9, 10 ** 9,
+    )
     lifted = convergence._lifted_iteration(blocks, nan_state, None, 1e-9, 5)
     target = np.eye(dim, dtype=complex) / dim
     for _, used, residual, converged in (
@@ -713,15 +771,14 @@ def test_fixed_point_guards_refuse_nan():
     # a NaN coherence passes no PSD check, and a NaN superoperator no
     # residual check; neither may return a state
     ident = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
-    vals = np.array([1.0])
     with pytest.raises(FixedPointNumericalError, match="eigenvalue nan"):
-        convergence._extract_fixed_point(
-            ident, vals, lambda k: np.array([1.0, np.nan, np.nan, 0.0])
+        convergence._validated_fixed_point(
+            ident, np.array([1.0, np.nan, np.nan, 0.0])
         )
     nan_sop = Superoperator(dim=2, matrix=np.full((4, 4), np.nan))
     with pytest.raises(FixedPointNumericalError, match="residual nan"):
-        convergence._extract_fixed_point(
-            nan_sop, vals, lambda k: np.array([0.5, 0.0, 0.0, 0.5])
+        convergence._validated_fixed_point(
+            nan_sop, np.array([0.5, 0.0, 0.0, 0.5])
         )
 
 

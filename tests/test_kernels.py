@@ -197,8 +197,8 @@ def test_lockstep_iteration_matches_one_channel_at_a_time(dim, ranks, rng):
     for ops, rho0 in zip(kraus, states):
         matrix = sum(np.kron(k, k.conj()) for k in ops)
         # planned for 10**9 collisions, lifting always pays
-        blocks = convergence._lifting_blocks(matrix, rho0, len(ops), 0.0,
-                                             tol, 10 ** 9)
+        blocks = convergence._lifting_blocks(convergence._split(matrix), rho0,
+                                             len(ops), 0.0, tol, 10 ** 9)
         got = convergence._lifted_iteration(blocks, rho0, None, tol,
                                             max_iter)
         want = iterate_until(ops, rho0, tol, max_iter)

@@ -485,3 +485,21 @@ def test_sweep_iterates_each_point_after_its_spectral_step(monkeypatch):
             "iterative_fixed_point" if v == 5 else "_lifted_iteration",
         )
     ]
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("anisotropy_entanglement_sweep", {"delta": 0.5}),
+    ("two_bath_equilibrium", {}),
+], ids=["fixed_point", "site_populations"])
+def test_each_point_splits_its_superoperator_once(name, overrides,
+                                                   monkeypatch):
+    # the verdict, the fixed point and the lifting share one block split
+    calls = []
+
+    def counting(linked, _run=convergence._components):
+        calls.append(linked.shape)
+        return _run(linked)
+
+    monkeypatch.setattr(convergence, "_components", counting)
+    run_scenario(parse_config(bundled_raw(name, **overrides)))
+    assert len(calls) == 1
