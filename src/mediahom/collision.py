@@ -260,11 +260,11 @@ class CollisionChannel:
             raise ValueError(f"collision count must be >= 0, got {n}")
         return trajectory(self._kraus, rho0, int(n))
 
-    def superoperator(self):
-        """Channel as a matrix on vectorized states.
+    def _superoperator_rows(self):
+        """This channel's superoperator as a row source, built on demand.
 
-        Guarded to ``system_dim <= 64`` so the densest object stays at
-        4096 x 4096.
+        See :class:`_SuperoperatorRows`.  Refused above system dim
+        ``SUPEROPERATOR_DIM_LIMIT``, as :meth:`superoperator` is.
         """
         d = self.system_dim
         if d > SUPEROPERATOR_DIM_LIMIT:
@@ -272,14 +272,63 @@ class CollisionChannel:
                 f"superoperator needs a {d * d} x {d * d} matrix; refusing "
                 f"beyond system dim {SUPEROPERATOR_DIM_LIMIT}"
             )
-        # S[(i, j), (k, l)] = sum_m K_m[i, k] conj(K_m[j, l]): block (i, j)
-        # of S is row i of the Kraus stack times conjugated row j, so one
-        # batched matmul writes S in its final layout, with no d**4
-        # temporary
-        rows = np.ascontiguousarray(self._kraus.transpose(1, 2, 0))
-        conj_rows = np.ascontiguousarray(self._kraus.conj().transpose(1, 0, 2))
-        mat = rows[:, None] @ conj_rows[None]
-        return Superoperator(dim=d, matrix=mat.reshape(d * d, d * d))
+        return _SuperoperatorRows(self._kraus)
+
+    def superoperator(self):
+        """Channel as a matrix on vectorized states.
+
+        Guarded to ``system_dim <= 64`` so the densest object stays at
+        4096 x 4096.  It is every row of :meth:`_superoperator_rows`.
+        """
+        rows = self._superoperator_rows()
+        return Superoperator(dim=self.system_dim,
+                             matrix=rows.take(np.arange(rows.shape[0])))
+
+
+class _SuperoperatorRows:
+    """The rows of a Kraus stack's superoperator, computed on demand.
+
+    ``S[(i, j), (k, l)] = sum_m K_m[i, k] conj(K_m[j, l])``, so row ``(i,
+    j)`` of S, index ``i * D + j``, is row i of the stack times conjugated
+    row j: one (D, m) by (m, D) product, whatever else is read with it, so
+    any two reads of a row agree bitwise.  ``take`` reads rows as
+    ``ndarray.take`` does along axis 0, so an array and this source serve
+    one reader; ``shape`` and ``dtype`` are those of S.
+    """
+
+    dtype = np.dtype(complex)
+
+    def __init__(self, kraus):
+        d = kraus.shape[1]
+        self.shape = (d * d, d * d)
+        self._rows = np.ascontiguousarray(kraus.transpose(1, 2, 0))
+        self._conj_rows = np.ascontiguousarray(kraus.conj().transpose(1, 0, 2))
+
+    def take(self, indices, axis=0, out=None):
+        """``S[indices]`` for an index array, written over ``out`` if given.
+
+        ``out`` must be a C-contiguous (len(indices), D**2) complex array.
+        Whole slabs of rows ``(i, 0) .. (i, D - 1)``, in order, broadcast
+        the stack with no d**4 temporary; other rows gather their operands.
+        """
+        if axis != 0:
+            raise ValueError("superoperator rows are read along axis 0")
+        d = self._rows.shape[0]
+        indices = np.asarray(indices)
+        start = int(indices[0]) if indices.size else 0
+        slabs = indices.size // d
+        if (start % d == 0 and slabs * d == indices.size and np.array_equal(
+                indices, np.arange(start, start + indices.size))):
+            left = self._rows[start // d:start // d + slabs, None]
+            right = self._conj_rows[None]
+            shape = (slabs, d, d, d)
+        else:
+            i, j = np.divmod(indices, d)
+            left, right = self._rows[i], self._conj_rows[j]
+            shape = (indices.size, d, d)
+        if out is not None:
+            out = out.reshape(shape)
+        return np.matmul(left, right, out=out).reshape(indices.size, d * d)
 
 
 def checked_collision(kraus, rho):

@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import qmath
-from ._kernels import hermitian_trace_norm, iterate_until
-from .collision import Superoperator, apply_sequence, unvectorize
+from ._kernels import apply_kraus, hermitian_trace_norm, iterate_until
+from .collision import (
+    CollisionChannel,
+    Superoperator,
+    apply_sequence,
+    unvectorize,
+)
 from .errors import (
     ConvergenceError,
     DegenerateFixedPointError,
@@ -189,8 +195,20 @@ class _Block:
             vec[self.mirror] = coords.conj()
 
 
-def _split(matrix):
-    """The blocks of a superoperator, as a list of :class:`_Block`.
+# Bytes of superoperator rows that the split holds at a time, rounded to
+# whole slabs of rows (i, 0) .. (i, d - 1), which a channel's Kraus source
+# reads without gathering its operands: 512 KB is one slab at d = 32.
+_BAND_BYTES = 1 << 19
+
+
+def _split(rows):
+    """The blocks of a superoperator S, as a list of :class:`_Block`.
+
+    ``rows`` is S as a row source: an array, or an object with S's
+    ``shape`` and ``dtype`` whose ``take(r, axis=0, out=None)`` gives the
+    rows ``S[r]`` as ``ndarray.take`` does, such as a channel's Kraus
+    products (:meth:`CollisionChannel._superoperator_rows`).  S is read a
+    band of rows at a time, into one buffer, and never held whole.
 
     A conserved charge, such as the magnetization of an XXZ or swap network
     with diagonal baths, makes a superoperator block diagonal up to a
@@ -214,20 +232,30 @@ def _split(matrix):
       b``: the twin acts on the conjugate entries and has the conjugate
       eigenvalues.  The check is ``max|S[P b, P b] - conj(S[b, b])|``.
 
-    A non-finite matrix is not split: it is one complex block, which
-    ``eigvals`` refuses.
+    A NaN or infinite entry raises ``numpy.linalg.LinAlgError``, as
+    ``eigvals`` would.
     """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    mags = np.abs(matrix)
-    scale = mags.max(initial=0.0)
-    if not np.isfinite(scale):
-        return [_Block(matrix, np.arange(n))]
-    tol = BLOCK_SPLIT_RTOL * scale
-    linked = mags > tol
-    del mags  # not needed while the components are found
-    blocks = _components(linked)
+    n = rows.shape[0]
     side = math.isqrt(n)
+    slabs = max(1, min(side, _BAND_BYTES // (16 * n * side)))
+    buffer = np.empty((slabs * side, n), dtype=rows.dtype)
+    # For a completely positive map, |S[(i, j), (k, l)]| is at most the
+    # geometric mean of S[(i, i), (k, k)] and S[(j, j), (l, l)]
+    # (Cauchy-Schwarz over the Kraus operators), so these few entries give
+    # max|S| before the one pass that links the rest.  The pass finds the
+    # true maximum, and links again only where it is larger.
+    pairs = np.arange(side) * (side + 1)
+    scale = np.abs(_entries(rows, pairs, buffer)).max(initial=0.0)
+    linked = np.empty((n, n), dtype=bool)
+    top = _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
+    if not np.isfinite(top):
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if top > scale:
+        scale = top
+        _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
+    tol = BLOCK_SPLIT_RTOL * scale
+    blocks = _components(linked)
+    del linked  # not needed while the blocks are read
     swap = np.arange(n).reshape(side, side).T.ravel()
     label = np.empty(n, dtype=int)
     for i, b in enumerate(blocks):
@@ -244,7 +272,7 @@ def _split(matrix):
         if whole and twin == i:
             idx, p, h = _hermitian_layout(b, side)
             form = _real_form(
-                matrix[np.ix_(idx, idx)].astype(complex, copy=False), p, h
+                _entries(rows, idx, buffer).astype(complex, copy=False), p, h
             )
             # Im(T^H B T) = T^H (B - conj(B[P, P])) T / 2i: bounding the
             # part that is dropped checks the symmetry, to within a factor
@@ -252,15 +280,55 @@ def _split(matrix):
             if max(form.imag.max(), -form.imag.min()) <= tol:
                 split.append(_Block(form.real.copy(), idx, (p, h)))
                 continue
-        elif whole and twin > i:
-            entries, mirror = matrix[np.ix_(b, b)], swap[b]
-            if np.abs(matrix[np.ix_(mirror, mirror)]
-                      - entries.conj()).max() <= tol:
+        entries = _entries(rows, b, buffer)
+        if whole and twin > i:
+            mirror = swap[b]
+            defect = max(
+                np.abs(values - entries[start:start + len(values)].conj()).max()
+                for start, values in _chunks(rows, mirror, buffer)
+            )
+            if defect <= tol:
                 split.append(_Block(entries, b, mirror=mirror))
                 paired.add(twin)
                 continue
-        split.append(_Block(matrix[np.ix_(b, b)], b))
+        split.append(_Block(entries, b))
     return split
+
+
+def _link(rows, buffer, tol, linked):
+    """Write ``|S| > tol`` over ``linked``, reading S's rows into ``buffer``.
+
+    Returns ``max|S|``, NaN if S holds a NaN.
+    """
+    n, band = rows.shape[0], buffer.shape[0]
+    mags = np.empty(buffer.shape)
+    top = 0.0
+    for start in range(0, n, band):
+        stop = min(start + band, n)
+        values = rows.take(np.arange(start, stop), axis=0,
+                           out=buffer[:stop - start])
+        np.abs(values, out=mags[:stop - start])
+        np.greater(mags[:stop - start], tol, out=linked[start:stop])
+        top = np.maximum(top, mags[:stop - start].max())
+    return top
+
+
+def _chunks(rows, idx, buffer):
+    """``(start, S[np.ix_(idx[start:stop], idx)])`` chunk by chunk.
+
+    Each chunk's rows are read into ``buffer``, as many as it holds.
+    """
+    for start in range(0, idx.size, buffer.shape[0]):
+        chunk = idx[start:start + buffer.shape[0]]
+        yield start, rows.take(chunk, axis=0, out=buffer[:chunk.size])[:, idx]
+
+
+def _entries(rows, idx, buffer):
+    """``S[np.ix_(idx, idx)]``, reading S's rows into ``buffer``."""
+    out = np.empty((idx.size, idx.size), dtype=buffer.dtype)
+    for start, values in _chunks(rows, idx, buffer):
+        out[start:start + len(values)] = values
+    return out
 
 
 def _solved_fixed_point(block, side):
@@ -297,11 +365,12 @@ def _solved_fixed_point(block, side):
     return vec
 
 
-def _extract_fixed_point(sop, split, spectra, tol=DEGENERACY_ATOL):
-    """Fixed point from the split of ``sop`` and each block's eigenvalues.
+def _extract_fixed_point(apply, side, split, spectra, tol=DEGENERACY_ATOL):
+    """Fixed point from the split of a channel and each block's eigenvalues.
 
     ``spectra[k]`` holds the eigenvalues of ``split[k]`` (see
-    :meth:`_Block.eigvals`).  The eigenvalue within ``tol`` of 1 is
+    :meth:`_Block.eigvals`), and ``apply`` and ``side`` are those of
+    :func:`_validated_fixed_point`.  The eigenvalue within ``tol`` of 1 is
     selected; a degenerate cluster there is an error.  Its block gives the
     fixed point by :func:`_solved_fixed_point`, which
     :func:`_validated_fixed_point` checks.
@@ -318,20 +387,29 @@ def _extract_fixed_point(sop, split, spectra, tol=DEGENERACY_ATOL):
             "no eigenvalue within tolerance of 1; the map does not preserve "
             "the trace"
         )
-    return _validated_fixed_point(
-        sop, _solved_fixed_point(near_one[0], sop.dim)
-    )
+    return _validated_fixed_point(apply, _solved_fixed_point(near_one[0], side))
 
 
-def _validated_fixed_point(sop, vec):
+def _unless_nan(spectral, a):
+    """``spectral(a)``, or NaN where ``a`` is not finite.
+
+    ``spectral`` takes an ``eigvalsh``, which raises on a NaN matrix above
+    D = 2.
+    """
+    return spectral(a) if np.isfinite(a).all() else np.nan
+
+
+def _validated_fixed_point(apply, vec):
     """``(rho, residual)`` of a vectorized fixed-point candidate.
 
     The candidate is Hermitian-symmetrized and trace-normalized.
-    Positivity and the self-consistency residual under the full
-    superoperator are then validated.  Positivity failures are surfaced,
-    never repaired.
+    Positivity and the self-consistency residual ``||apply(rho) - rho||_1``
+    are then validated, where ``apply`` maps a (D, D) matrix through the
+    channel.  Positivity failures are surfaced, never repaired; each check
+    refuses a NaN.
     """
-    candidate = unvectorize(vec, sop.dim)
+    side = math.isqrt(vec.size)
+    candidate = unvectorize(vec, side)
     candidate = (candidate + candidate.conj().T) / 2.0
     trace = candidate.trace().real
     if abs(trace) < 1e-12:
@@ -339,13 +417,13 @@ def _validated_fixed_point(sop, vec):
             "fixed-point eigenvector is traceless; cannot normalize"
         )
     rho = candidate / trace
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    min_eig = float(np.min(_unless_nan(np.linalg.eigvalsh, rho)))
     if not min_eig >= -FIXED_POINT_PSD_ATOL:
         raise FixedPointNumericalError(
             f"symmetrized fixed point has eigenvalue {min_eig:.3e} below "
             f"-{FIXED_POINT_PSD_ATOL:.0e}"
         )
-    residual = hermitian_trace_norm(sop.apply(rho) - rho)
+    residual = _unless_nan(hermitian_trace_norm, apply(rho) - rho)
     if not residual <= FIXED_POINT_RESIDUAL_ATOL:
         raise FixedPointNumericalError(
             f"fixed-point residual {residual:.3e} exceeds "
@@ -354,10 +432,29 @@ def _validated_fixed_point(sop, vec):
     return rho, float(residual)
 
 
+def _operand(op):
+    """``(rows, apply)`` of a :class:`Superoperator` or a channel.
+
+    ``rows`` is the row source :func:`_split` reads: the matrix itself, or
+    a :class:`CollisionChannel`'s Kraus products, which refuse a system dim
+    above ``SUPEROPERATOR_DIM_LIMIT`` with :class:`CapacityError`.
+    ``apply`` maps a (D, D) matrix through the map: the matrix product, or
+    one Kraus collision.
+    """
+    if isinstance(op, CollisionChannel):
+        return op._superoperator_rows(), partial(apply_kraus, op._kraus)
+    return np.asarray(op.matrix), op.apply
+
+
 def spectral_fixed_point(sop):
-    """The unique stationary state of a channel, from its spectrum."""
-    split = _split(sop.matrix)
-    rho, _ = _extract_fixed_point(sop, split,
+    """The unique stationary state of a channel, from its spectrum.
+
+    ``sop`` is a :class:`Superoperator` or a :class:`CollisionChannel`, as
+    in :func:`is_relaxing`.
+    """
+    rows, apply = _operand(sop)
+    split = _split(rows)
+    rho, _ = _extract_fixed_point(apply, math.isqrt(rows.shape[0]), split,
                                   [block.eigvals() for block in split])
     return rho
 
@@ -370,10 +467,17 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     same ``tol`` decides whether that eigenvalue is simple.  The spectrum
     is computed block by block when the superoperator splits into
     independent blocks (see :func:`_split`); the report keeps the split.
-    A superoperator with a NaN or infinite entry raises
+
+    ``sop`` is a :class:`Superoperator` or a :class:`CollisionChannel`.  A
+    channel's blocks are built from its Kraus operators, a band of
+    superoperator rows at a time, and its fixed point is checked by one
+    collision, so the dense superoperator is never formed; a channel above
+    system dim ``SUPEROPERATOR_DIM_LIMIT`` raises :class:`CapacityError`.
+    A superoperator or Kraus stack with a NaN or infinite entry raises
     ``numpy.linalg.LinAlgError``.
     """
-    split = _split(sop.matrix)
+    rows, apply = _operand(sop)
+    split = _split(rows)
     spectra = [block.eigvals() for block in split]
     mods = np.sort(np.abs(np.concatenate(spectra)))[::-1]
     peripheral = int(np.count_nonzero(mods > 1.0 - tol))
@@ -386,7 +490,9 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
                   "circle; iterates do not forget the initial state")
     else:
         try:
-            rho, residual = _extract_fixed_point(sop, split, spectra, tol)
+            rho, residual = _extract_fixed_point(
+                apply, math.isqrt(rows.shape[0]), split, spectra, tol
+            )
         except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
             reason = ("unique peripheral eigenvalue but fixed-point "
                       f"extraction failed: {exc}")
@@ -510,10 +616,7 @@ def _lifted_iteration(blocks, start, frame, tol, max_iter):
         return vec.reshape(side, side)
 
     def residual_of(cols):
-        step = matrix_of(cols, 1)
-        # eigvalsh raises on a NaN matrix above D = 2
-        return hermitian_trace_norm(step) if np.isfinite(step).all() \
-            else np.nan
+        return _unless_nan(hermitian_trace_norm, matrix_of(cols, 1))
 
     def probe(level, cols):
         moved = [power @ col for power, col in zip(powers[level], cols)]
@@ -565,7 +668,7 @@ def factorized_eigenvector_count(h_total, dims, phi):
     dims = [int(d) for d in dims]
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"phi must be normalized; |phi| = {norm:.6g}")
     if dims[-1] != phi.shape[0]:
         raise ShapeError(

@@ -145,26 +145,26 @@ def _bath_frame(cfg):
     return qmath.tensor([basis] * cfg.sites)
 
 
-def _framed_superoperator(cfg, channel):
-    """``(superoperator, W)`` of the channel in its baths' eigenbasis.
+def _framed_channel(cfg, channel):
+    """``(channel in W, W)`` for its baths' eigenbasis ``W``.
 
     ``W`` is :func:`_bath_frame`'s unitary; without a frame it is None and
-    the superoperator is the channel's own.  The two have one spectrum.
+    the channel is returned as it is.  The two have one spectrum.
     """
     frame = _bath_frame(cfg)
     if frame is None:
-        return channel.superoperator(), None
-    return channel._in_frame(frame).superoperator(), frame
+        return channel, None
+    return channel._in_frame(frame), frame
 
 
-def _relaxing_report(cfg, sop, frame):
-    """:func:`convergence.is_relaxing` of a channel's framed superoperator.
+def _relaxing_report(cfg, framed, frame):
+    """:func:`convergence.is_relaxing` of a channel in its baths' frame.
 
-    ``(sop, frame)`` is :func:`_framed_superoperator`'s pair.  The fixed
-    point is found and checked in the frame, then rotated back and made
-    exactly Hermitian.
+    ``(framed, frame)`` is :func:`_framed_channel`'s pair.  The fixed point
+    is found and checked in the frame, then rotated back and made exactly
+    Hermitian.
     """
-    report = convergence.is_relaxing(sop, tol=cfg.peripheral_tol)
+    report = convergence.is_relaxing(framed, tol=cfg.peripheral_tol)
     if frame is None or report.fixed_point is None:
         return report
     rho = frame @ report.fixed_point @ frame.conj().T
@@ -181,17 +181,17 @@ def _concurrence_12(state, cfg):
 def _fixed_point_rows(cfg, channel, rho0):
     """The spectral report, then the iterated fixed point, of one point.
 
-    The framed superoperator is split into blocks once: the report's
-    eigenvalues, its fixed point (a bordered solve on the block of
-    eigenvalue 1) and the iteration all use that split.  The iteration
-    lifts powers of the blocks the start state touches where
-    :func:`convergence._lifting_blocks` finds that cheaper, and collides
-    the Kraus stack otherwise; both give the Kraus loop's collision count.
+    The framed channel's superoperator is split into blocks once, from its
+    Kraus operators: the report's eigenvalues, its fixed point (a bordered
+    solve on the block of eigenvalue 1) and the iteration all use that
+    split.  The iteration lifts powers of the blocks the start state
+    touches where :func:`convergence._lifting_blocks` finds that cheaper,
+    and collides the Kraus stack otherwise; both give the Kraus loop's
+    collision count.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    sop, frame = _framed_superoperator(cfg, channel)
-    report = _relaxing_report(cfg, sop, frame)
-    del sop  # only the report's blocks are held while they are squared
+    framed, frame = _framed_channel(cfg, channel)
+    report = _relaxing_report(cfg, framed, frame)
     start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
     blocks = convergence._lifting_blocks(
         report._blocks, start, len(channel._kraus), report.spectral_gap,
@@ -260,11 +260,17 @@ def _trajectory_rows(cfg, channel, rho0):
 
 
 def _spectrum_rows(cfg, channel, rho0):
-    sop, _ = _framed_superoperator(cfg, channel)
-    vals = np.concatenate(
-        [block.eigvals() for block in convergence._split(sop.matrix)]
-    )
-    order = np.argsort(-np.abs(vals))
+    """Every eigenvalue of the framed channel, in one canonical order.
+
+    Rows run by modulus (descending), then real part, then imaginary part,
+    so rows of equal modulus do not follow the order of the split's blocks.
+    """
+    framed, _ = _framed_channel(cfg, channel)
+    vals = np.concatenate([
+        block.eigvals()
+        for block in convergence._split(framed._superoperator_rows())
+    ])
+    order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     return [
         (i, float(vals[j].real), float(vals[j].imag), float(abs(vals[j])), "ok")
         for i, j in enumerate(order)
@@ -274,7 +280,7 @@ def _spectrum_rows(cfg, channel, rho0):
 def _site_populations_rows(cfg, channel, rho0):
     dims = [cfg.local_dim] * cfg.sites
     ground = qmath.projector(qmath.basis_ket(cfg.local_dim, 0))
-    report = _relaxing_report(cfg, *_framed_superoperator(cfg, channel))
+    report = _relaxing_report(cfg, *_framed_channel(cfg, channel))
     if report.fixed_point is not None:
         state, status = report.fixed_point, "ok"
     else:

@@ -42,8 +42,9 @@ BLOCK_SPLIT_RTOL = 64 * sys.float_info.epsilon
 EIGENSPACE_GROUP_ATOL = 1e-8
 FACTORIZED_WEIGHT_ATOL = 1e-8
 
-# Dense superoperator construction is refused above this system dimension
-# (the matrix grows as dim**4).
+# Dense superoperator construction, and the block split of a channel's
+# superoperator, are refused above this system dimension: the matrix grows
+# as dim**4 complex entries, and the split's link graph as dim**4 bytes.
 SUPEROPERATOR_DIM_LIMIT = 64
 
 # Configs are refused when the joint dimension of the network and its bath

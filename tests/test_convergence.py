@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mediahom.convergence import (
     spectral_fixed_point,
 )
 from mediahom.errors import (
+    CapacityError,
     ConvergenceError,
     DegenerateFixedPointError,
     FixedPointNumericalError,
@@ -435,12 +437,119 @@ def test_non_finite_superoperator_raises():
     # were split like a finite matrix; it must reach eig and be refused
     off_diagonal = np.eye(4, dtype=complex)
     off_diagonal[0, 3] = np.nan
-    for matrix in (off_diagonal, np.full((4, 4), np.inf, dtype=complex)):
-        sop = Superoperator(dim=2, matrix=matrix)
+    # a Kraus stack with one NaN entry builds no such matrix, but the
+    # split reads the same entries from it
+    channel = partial_swap_channel(np.diag([0.7, 0.3]), 0.5)
+    channel._kraus = channel._kraus.copy()
+    channel._kraus[0, 0, 1] = np.nan
+    for sop in (Superoperator(dim=2, matrix=off_diagonal),
+                Superoperator(dim=2, matrix=np.full((4, 4), np.inf,
+                                                    dtype=complex)),
+                channel):
         with pytest.raises(np.linalg.LinAlgError):
             is_relaxing(sop)
         with pytest.raises(np.linalg.LinAlgError):
             spectral_fixed_point(sop)
+
+
+def assert_same_split(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.idx, b.idx)
+        assert a.layout == b.layout
+        assert (a.mirror is None) == (b.mirror is None)
+        assert a.mirror is None or np.array_equal(a.mirror, b.mirror)
+        assert a.matrix.dtype == b.matrix.dtype
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       density=st.floats(0.0, 0.15))
+def test_components_are_the_weak_components_of_a_directed_graph(
+        seed, n, density):
+    # sparse one-way links, so a component is often joined only against
+    # the direction of some of its links
+    linked = np.random.default_rng(seed).random((n, n)) < density
+    count, labels = connected_components(linked, directed=True,
+                                         connection="weak")
+    want = sorted(np.flatnonzero(labels == label).tolist()
+                  for label in range(count))
+    got = convergence._components(linked)
+    assert [block.tolist() for block in got] == want
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]),
+       rank=st.integers(1, 4))
+def test_kraus_split_equals_dense_split_on_random_channels(seed, dim, rank):
+    # an ancilla of dim `rank` in |0> gives `rank` Kraus operators
+    rng = np.random.default_rng(seed)
+    channel = CollisionChannel(qmath.random_unitary(dim * rank, rng),
+                               qmath.projector(np.eye(rank)[0]), (rank,))
+    assert_same_split(convergence._split(channel._superoperator_rows()),
+                      convergence._split(channel.superoperator().matrix))
+
+
+def bundled_points():
+    """Every point of the bundled configs: 2 single runs and 71 sweep points."""
+    for name in sorted(CONFIGS.glob("*.json")):
+        raw = json.loads(name.read_text())
+        sweep = raw.get("sweep")
+        if sweep is None:
+            yield raw
+            continue
+        for value in parse_config(raw).sweep.values:
+            yield set_by_path(raw, sweep["param"], value)
+
+
+def test_kraus_split_equals_dense_split_on_bundled_points(monkeypatch):
+    # the entries S[(i, i), (k, k)] hold max|S| on every bundled point, so
+    # each split links its rows in one pass
+    passes = []
+
+    def counting(*args, _run=convergence._link):
+        passes.append(args[0])
+        return _run(*args)
+
+    monkeypatch.setattr(convergence, "_link", counting)
+    count = 0
+    for raw in bundled_points():
+        cfg = parse_config(raw)
+        framed, _ = scenario._framed_channel(cfg, build_scenario_channel(cfg))
+        rows = framed._superoperator_rows()
+        assert_same_split(convergence._split(rows),
+                          convergence._split(framed.superoperator().matrix))
+        assert sum(source is rows for source in passes) == 1
+        count += 1
+    assert count == 73
+
+
+def test_split_tolerance_follows_the_largest_entry():
+    # not completely positive: the largest entry is off the diagonal pairs
+    # S[(i, i), (k, k)], so the split must link its rows again at the
+    # tolerance of the true maximum, where S[0, 3] is no link
+    matrix = np.diag([1e-3, 1.0, 1.0, 1e-3]).astype(complex)
+    matrix[0, 3] = 1e-16
+    assert 1e-16 > BLOCK_SPLIT_RTOL * 1e-3
+    covered = sorted(idx.tolist() for block in convergence._split(matrix)
+                     for idx in (block.idx, block.mirror) if idx is not None)
+    assert covered == [[0], [1], [2], [3]]
+
+
+def test_channel_route_refuses_large_systems_before_allocating():
+    # the link graph alone would be 128**4 bytes, 268 MB
+    channel = CollisionChannel(np.eye(2 * 128), qmath.projector([1, 0]), (2,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="system dim 64"):
+            is_relaxing(channel)
+        with pytest.raises(CapacityError):
+            spectral_fixed_point(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_iteration_count_matches_decay_rate():
@@ -551,9 +660,10 @@ def test_lifted_iteration_matches_kraus_on_bundled_points(name, param, value):
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg = parse_config(set_by_path(raw, param, value))
     channel = build_scenario_channel(cfg)
-    sop, frame = scenario._framed_superoperator(cfg, channel)
+    framed, frame = scenario._framed_channel(cfg, channel)
     rho0 = scenario._initial_state(cfg, channel.system_dim)
-    got = assert_lifting_matches_kraus(sop.matrix, frame, channel._kraus,
+    got = assert_lifting_matches_kraus(framed.superoperator().matrix, frame,
+                                       channel._kraus,
                                        np.asarray(rho0, dtype=complex),
                                        cfg.iterate_tol, cfg.max_iter)
     assert got[3]
@@ -674,6 +784,8 @@ def test_factorized_count_xxz_chain():
 def test_factorized_count_validation():
     with pytest.raises(ValueError):
         factorized_eigenvector_count(SWAP2, [2, 2], [1, 1])  # not normalized
+    with pytest.raises(ValueError, match="normalized"):
+        factorized_eigenvector_count(SWAP2, [2, 2], [np.nan, 0])
     with pytest.raises(ShapeError):
         factorized_eigenvector_count(SWAP2, [2, 3], [1, 0])
     with pytest.raises(ShapeError):
@@ -773,12 +885,22 @@ def test_fixed_point_guards_refuse_nan():
     ident = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
     with pytest.raises(FixedPointNumericalError, match="eigenvalue nan"):
         convergence._validated_fixed_point(
-            ident, np.array([1.0, np.nan, np.nan, 0.0])
+            ident.apply, np.array([1.0, np.nan, np.nan, 0.0])
         )
     nan_sop = Superoperator(dim=2, matrix=np.full((4, 4), np.nan))
     with pytest.raises(FixedPointNumericalError, match="residual nan"):
         convergence._validated_fixed_point(
-            nan_sop, np.array([0.5, 0.0, 0.0, 0.5])
+            nan_sop.apply, np.array([0.5, 0.0, 0.0, 0.5])
+        )
+    # above D = 2, eigvalsh raises on a NaN matrix instead of returning NaN;
+    # a NaN trace passes the traceless check and makes every entry NaN
+    candidate = np.eye(4, dtype=complex).ravel() / 4
+    candidate[0] = np.nan
+    with pytest.raises(FixedPointNumericalError, match="eigenvalue nan"):
+        convergence._validated_fixed_point(lambda rho: rho, candidate)
+    with pytest.raises(FixedPointNumericalError, match="residual nan"):
+        convergence._validated_fixed_point(
+            lambda rho: np.full_like(rho, np.nan), np.eye(4).ravel() / 4
         )
 
 

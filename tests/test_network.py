@@ -117,6 +117,28 @@ def test_xxz_two_site_matrix():
     assert np.allclose(ham, expected, atol=1e-12)
 
 
+def embedded_xxz(spec):
+    """The XXZ Hamiltonian as a sum of embedded Pauli products."""
+    dims = spec.dims
+    ham = np.zeros((2 ** spec.n_sites,) * 2, dtype=complex)
+    paulis = (qmath.PAULI_X, qmath.PAULI_Y, qmath.PAULI_Z)
+    for a, b, j in spec.graph.edges:
+        for sigma, w in zip(paulis, (1.0, 1.0, spec.delta)):
+            ham += (j / 2.0) * w * qmath.embed(dims, {a: sigma, b: sigma})
+    return ham
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05, 0.35, 1.0, 1.45, -0.7])
+@pytest.mark.parametrize("graph", [
+    *(network.chain_graph(n, coupling=0.8) for n in range(2, 7)),
+    network.CouplingGraph(4, ((0, 2, 0.7), (3, 1, -1.3), (0, 3, 2.1),
+                              (1, 2, 0.45))),
+], ids=["chain2", "chain3", "chain4", "chain5", "chain6", "weighted"])
+def test_xxz_matches_embedded_pauli_sum(graph, delta):
+    spec = network.NetworkSpec(graph, model="xxz", delta=delta)
+    assert np.array_equal(network.xxz_hamiltonian(spec), embedded_xxz(spec))
+
+
 def test_xxz_isotropic_point_matches_swap_network():
     # at delta = 1 each edge term is J * (S - I/2): the two models differ
     # only by a multiple of the identity
@@ -190,6 +212,8 @@ def test_excitation_observable_commutes_with_swaps(rng):
 def test_excitation_observable_validation():
     with pytest.raises(ValueError):
         network.excitation_observable([1, 1], [2, 2])  # not normalized
+    with pytest.raises(ValueError):
+        network.excitation_observable([np.nan, 0], [2, 2])
     with pytest.raises(ShapeError):
         network.excitation_observable([0, 1], [2, 3])  # wrong factor dim
 

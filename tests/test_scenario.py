@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,55 @@ def test_spectrum_rows_match_dense_oracle(raw):
     assert dist[rows, cols].max() < 1e-12
 
 
+@pytest.mark.parametrize("raw", [
+    swap_chain_raw(analysis="spectrum"),
+    bundled_raw("anisotropy_entanglement_sweep", delta=1.0,
+                analysis="spectrum"),
+], ids=["swap_chain", "anisotropy_nine_blocks"])
+def test_spectrum_rows_do_not_depend_on_block_order(raw, monkeypatch):
+    # rows of equal modulus follow the real, then the imaginary part
+    cfg = parse_config(raw)
+    table = run_scenario(cfg)
+    keys = [(-m, re, im) for re, im, m in zip(table.column("eig_real"),
+                                              table.column("eig_imag"),
+                                              table.column("modulus"))]
+    assert keys == sorted(keys)
+    split = convergence._split
+    monkeypatch.setattr(convergence, "_split",
+                        lambda rows: split(rows)[::-1])
+    assert run_scenario(cfg).rows == table.rows
+
+
+def test_spectrum_rows_break_modulus_ties_by_real_then_imaginary_part(
+        monkeypatch):
+    class Block:
+        def __init__(self, *vals):
+            self.vals = np.array(vals, dtype=complex)
+
+        def eigvals(self):
+            return self.vals
+
+    monkeypatch.setattr(convergence, "_split", lambda rows: [
+        Block(1j, 0.5, 1.0), Block(-1.0, -1j, 0.5j),
+    ])
+    rows = run_scenario(parse_config(swap_chain_raw(analysis="spectrum"))).rows
+    assert [complex(re, im) for _, re, im, _, _ in rows] == [
+        -1.0, -1j, 1j, 1.0, 0.5j, 0.5,
+    ]
+
+
+def test_two_bath_run_never_holds_a_dense_superoperator():
+    # one dense d = 32 superoperator alone is 16 MB
+    cfg = parse_config(bundled_raw("two_bath_equilibrium"))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def xxz_raw(baths, sites=3, delta=0.5, **overrides):
     return swap_chain_raw(model="xxz", sites=sites, delta=delta, baths=baths,
                           **overrides)
@@ -195,7 +245,7 @@ def test_bath_frame_report_matches_computational_frame(raw, framed):
     channel = build_scenario_channel(cfg)
     assert (scenario._bath_frame(cfg) is not None) == framed
     got = scenario._relaxing_report(
-        cfg, *scenario._framed_superoperator(cfg, channel)
+        cfg, *scenario._framed_channel(cfg, channel)
     )
     want = convergence.is_relaxing(channel.superoperator(),
                                    tol=cfg.peripheral_tol)
@@ -222,9 +272,9 @@ def test_bath_frame_splits_the_anisotropy_sweep(delta):
                                    delta=delta))
     channel = build_scenario_channel(cfg)
     assert largest_block(channel.superoperator()) == 256
-    sop, frame = scenario._framed_superoperator(cfg, channel)
-    assert frame is not None and sop.dim == 16
-    assert largest_block(sop) <= 128
+    framed, frame = scenario._framed_channel(cfg, channel)
+    assert frame is not None and framed.system_dim == 16
+    assert largest_block(framed.superoperator()) <= 128
 
 
 @pytest.mark.parametrize("raw", [
@@ -235,9 +285,10 @@ def test_bath_frame_splits_the_anisotropy_sweep(delta):
 def test_diagonal_or_absent_baths_get_no_frame(raw):
     cfg = parse_config(raw)
     channel = build_scenario_channel(cfg)
-    sop, frame = scenario._framed_superoperator(cfg, channel)
+    framed, frame = scenario._framed_channel(cfg, channel)
     assert frame is None
-    assert np.array_equal(sop.matrix, channel.superoperator().matrix)
+    assert np.array_equal(framed.superoperator().matrix,
+                          channel.superoperator().matrix)
 
 
 def test_site_populations_input_vs_post_collision():
