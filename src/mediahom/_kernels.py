@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .qmath import _eigvalsh
+
 
 def backend_name() -> str:
     """Name of the kernel implementation, recorded in CSV provenance."""
@@ -29,23 +31,17 @@ def hermitian_trace_norm(a: np.ndarray):
     """||A||_1 for Hermitian A, as the sum of |eigenvalues|.
 
     A stack of shape (n, D, D) gives the array of its n norms, from one
-    batched ``eigvalsh`` that reproduces the one-matrix norms exactly.
+    batched ``eigvalsh`` that reproduces the one-matrix norms exactly.  A
+    matrix with a NaN or infinite entry has norm NaN.
     """
-    norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    norms = np.abs(_eigvalsh(a)).sum(axis=-1)
     return norms if norms.ndim else float(norms)
 
 
 def _screened_norm(diff: np.ndarray, tol: float) -> float:
-    """``hermitian_trace_norm(diff)`` when it may be <= tol, else inf or NaN.
-
-    A Frobenius norm above tol gives inf without the exact norm.  A NaN one
-    gives NaN, never an ``eigvalsh``, which raises on a NaN matrix at D >= 3.
-    """
-    norm = np.linalg.norm(diff)
-    if norm > tol:
+    """``hermitian_trace_norm(diff)`` when it may be <= tol, else inf."""
+    if np.linalg.norm(diff) > tol:
         return np.inf
-    if np.isnan(norm):
-        return np.nan
     return hermitian_trace_norm(diff)
 
 
@@ -89,26 +85,31 @@ def trajectory(kraus: np.ndarray, rho0: np.ndarray, n: int) -> np.ndarray:
 
 
 def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,
-                  max_iter: int):
-    """Iterate until the step-to-step trace-norm residual drops below tol.
+                  max_iter: int, target: np.ndarray | None = None):
+    """Collide until the trace-norm residual drops to tol.
 
-    Returns (state, iterations, last residual, converged).  Without
-    convergence the residual is the exact trace norm of the last step, or
-    inf when no step ran; a state that turns NaN stops there, with
-    iterations max_iter and residual NaN, as if it had run on.
+    The residual is the step ``rho_k - rho_(k-1)``, or with ``target`` the
+    distance ``rho_k - target``, which the start state (k = 0) is also
+    checked for.  Returns (state, iterations, last residual, converged).
+    Without convergence the residual is the exact trace norm of the last
+    one measured, or inf when none was; a state that turns NaN stops
+    there, with iterations max_iter and residual NaN, as if it had run on.
     """
     rows, adjoints = _two_product_form(kraus)
     rho = np.array(rho0, dtype=complex)
-    for k in range(1, max_iter + 1):
-        nxt = _collide(rows, adjoints, rho)
-        diff, rho = nxt - rho, nxt
+    diff = None if target is None else rho - target
+    for k in range(max_iter + 1):
+        if k:
+            prev, rho = rho, _collide(rows, adjoints, rho)
+            diff = rho - (prev if target is None else target)
+        elif diff is None:
+            continue
         residual = _screened_norm(diff, tol)
         if residual <= tol:
             return rho, k, residual, True
         if np.isnan(residual):
-            break
-    else:
-        residual = hermitian_trace_norm(diff) if max_iter > 0 else np.inf
+            return rho, max_iter, residual, False
+    residual = np.inf if diff is None else hermitian_trace_norm(diff)
     return rho, max_iter, residual, False
 
 
@@ -119,21 +120,5 @@ def iterate_to_target(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Iterate until the trace-norm distance to ``target`` drops below tol.
-
-    Returns (state, iterations, last distance, converged); zero iterations
-    when the initial state is already within tolerance.  Without
-    convergence the distance is the exact trace norm for the last state; a
-    NaN state stops there, as in :func:`iterate_until`.
-    """
-    rows, adjoints = _two_product_form(kraus)
-    rho = np.array(rho0, dtype=complex)
-    for k in range(max_iter + 1):
-        if k:
-            rho = _collide(rows, adjoints, rho)
-        distance = _screened_norm(rho - target, tol)
-        if distance <= tol:
-            return rho, k, distance, True
-        if np.isnan(distance):
-            return rho, max_iter, distance, False
-    return rho, max_iter, hermitian_trace_norm(rho - target), False
+    """:func:`iterate_until` with the distance to ``target`` as residual."""
+    return iterate_until(kraus, rho0, tol, max_iter, target)

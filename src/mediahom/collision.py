@@ -13,6 +13,7 @@ this choice.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +188,13 @@ def _build_kraus(unitary, omegas, ancilla_dims):
     return omegas, [op[mask] for op, mask in zip(ops, used)]
 
 
+def _count(n, what):
+    """``n`` as an int, refused unless it is an integer >= 0 (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 class CollisionChannel:
     """One collision: conjugate by the joint unitary, trace out the ancilla.
 
@@ -238,27 +246,35 @@ class CollisionChannel:
         """Kraus stack, shape ``(n_kraus, D, D)``; ``sum K rho K^dag`` = apply."""
         return self._kraus.copy()
 
-    def apply(self, rho):
-        """One collision.  Output is validated as a density matrix."""
+    def _state(self, rho):
+        """``rho`` as a complex array, refused unless (D, D) for this channel."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.system_dim, self.system_dim):
             raise ShapeError(
                 f"state has shape {rho.shape}, channel expects "
                 f"({self.system_dim}, {self.system_dim})"
             )
-        return checked_collision(self._kraus, rho)
+        return rho
+
+    def apply(self, rho):
+        """One collision.  Output is validated as a density matrix."""
+        rho = self._state(rho)
+        out = apply_kraus(self._kraus, rho)
+        trace_defect = abs(out.trace() - rho.trace())
+        if not trace_defect <= TRACE_ATOL:
+            raise ValueError(
+                f"collision changed the trace by {trace_defect:.3e}"
+            )
+        # inputs off unit trace (differences of states) are not states
+        report = qmath.validate_density(out, 1e-8)
+        if not abs(rho.trace() - 1.0) > 1e-8 and not report.passed:
+            raise ValueError(f"collision output invalid: {report.describe()}")
+        return out
 
     def iterate(self, rho0, n):
         """States after 0..n collisions, shape ``(n+1, D, D)``."""
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (self.system_dim, self.system_dim):
-            raise ShapeError(
-                f"state has shape {rho0.shape}, channel expects "
-                f"({self.system_dim}, {self.system_dim})"
-            )
-        if n < 0:
-            raise ValueError(f"collision count must be >= 0, got {n}")
-        return trajectory(self._kraus, rho0, int(n))
+        rho0 = self._state(rho0)
+        return trajectory(self._kraus, rho0, _count(n, "collision count"))
 
     def _superoperator_rows(self):
         """This channel's superoperator as a row source, built on demand.
@@ -329,25 +345,6 @@ class _SuperoperatorRows:
         if out is not None:
             out = out.reshape(shape)
         return np.matmul(left, right, out=out).reshape(indices.size, d * d)
-
-
-def checked_collision(kraus, rho):
-    """One collision of a (D, D) ``rho`` by a Kraus stack, output validated.
-
-    The check of :meth:`CollisionChannel.apply`, for callers that keep a
-    channel's Kraus stack but not its joint unitary.
-    """
-    out = apply_kraus(kraus, rho)
-    trace_defect = abs(out.trace() - rho.trace())
-    if not trace_defect <= TRACE_ATOL:
-        raise ValueError(
-            f"collision changed the trace by {trace_defect:.3e}"
-        )
-    # inputs off unit trace (differences of states) are not states
-    report = qmath.validate_density(out, 1e-8)
-    if not abs(rho.trace() - 1.0) > 1e-8 and not report.passed:
-        raise ValueError(f"collision output invalid: {report.describe()}")
-    return out
 
 
 def joint_unitary(system_hamiltonian, interaction_terms, t,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -96,9 +97,10 @@ def _is_real(value):
 
     An integer beyond the float range does not: ``float`` overflows on it.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return not isinstance(value, int) or abs(value) <= sys.float_info.max
+    return (not isinstance(value, numbers.Integral)
+            or abs(value) <= sys.float_info.max)
 
 
 def _is_finite_number(value):
@@ -108,7 +110,26 @@ def _is_finite_number(value):
 
 def _is_index(value):
     """A JSON integer (booleans excluded)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _tolerance(key, value):
+    """``tolerances.<key>`` checked, as a config gives it or a run overrides it.
+
+    ``max_iter`` must be an integer >= 1, and the tolerances positive
+    finite numbers; a boolean is neither.  Returns an int or a float.
+    """
+    if key == "max_iter":
+        if not _is_index(value) or value < 1:
+            raise ConfigError(
+                f"tolerances.max_iter: must be a positive integer, got {value!r}"
+            )
+        return int(value)
+    if not _is_finite_number(value) or value <= 0:
+        raise ConfigError(
+            f"tolerances.{key}: must be positive and finite, got {value!r}"
+        )
+    return float(value)
 
 
 def _within_joint_limit(local_dim, factors):
@@ -406,20 +427,12 @@ def parse_config(raw):
     unknown = set(tolerances) - set(_TOLERANCE_KEYS)
     if unknown:
         raise ConfigError(f"tolerances: unknown fields {sorted(unknown)}")
-    iterate_tol = tolerances.get("iterate_tol", DEFAULT_ITERATE_TOL)
-    if not _is_finite_number(iterate_tol) or iterate_tol <= 0:
-        raise ConfigError(
-            f"tolerances.iterate_tol: must be positive and finite, got {iterate_tol!r}"
-        )
-    max_iter = tolerances.get("max_iter", DEFAULT_MAX_ITER)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ConfigError(f"tolerances.max_iter: must be a positive integer, got {max_iter!r}")
-    peripheral_tol = tolerances.get("peripheral_tol", PERIPHERAL_ATOL)
-    if not _is_finite_number(peripheral_tol) or peripheral_tol <= 0:
-        raise ConfigError(
-            f"tolerances.peripheral_tol: must be positive and finite, "
-            f"got {peripheral_tol!r}"
-        )
+    iterate_tol = _tolerance(
+        "iterate_tol", tolerances.get("iterate_tol", DEFAULT_ITERATE_TOL))
+    max_iter = _tolerance("max_iter",
+                          tolerances.get("max_iter", DEFAULT_MAX_ITER))
+    peripheral_tol = _tolerance(
+        "peripheral_tol", tolerances.get("peripheral_tol", PERIPHERAL_ATOL))
 
     two_bath_mode = raw.get("two_bath_mode", "simultaneous")
     if two_bath_mode not in ("simultaneous", "alternating"):
@@ -437,8 +450,8 @@ def parse_config(raw):
         model=model, sites=sites, local_dim=local_dim, delta=delta,
         graph=graph, t=t, baths=tuple(baths), initial_state=initial_state,
         analysis=analysis, analysis_arg=analysis_arg,
-        iterate_tol=float(iterate_tol), max_iter=max_iter,
-        peripheral_tol=float(peripheral_tol), two_bath_mode=two_bath_mode,
+        iterate_tol=iterate_tol, max_iter=max_iter,
+        peripheral_tol=peripheral_tol, two_bath_mode=two_bath_mode,
         bath_report=bath_report, sweep=_parse_sweep(raw),
         digest=config_digest(raw), raw=raw,
     )

@@ -23,6 +23,7 @@ from ._kernels import apply_kraus, hermitian_trace_norm, iterate_until
 from .collision import (
     CollisionChannel,
     Superoperator,
+    _count,
     apply_sequence,
     unvectorize,
 )
@@ -390,15 +391,6 @@ def _extract_fixed_point(apply, side, split, spectra, tol=DEGENERACY_ATOL):
     return _validated_fixed_point(apply, _solved_fixed_point(near_one[0], side))
 
 
-def _unless_nan(spectral, a):
-    """``spectral(a)``, or NaN where ``a`` is not finite.
-
-    ``spectral`` takes an ``eigvalsh``, which raises on a NaN matrix above
-    D = 2.
-    """
-    return spectral(a) if np.isfinite(a).all() else np.nan
-
-
 def _validated_fixed_point(apply, vec):
     """``(rho, residual)`` of a vectorized fixed-point candidate.
 
@@ -417,13 +409,13 @@ def _validated_fixed_point(apply, vec):
             "fixed-point eigenvector is traceless; cannot normalize"
         )
     rho = candidate / trace
-    min_eig = float(np.min(_unless_nan(np.linalg.eigvalsh, rho)))
+    min_eig = float(np.min(qmath._eigvalsh(rho)))
     if not min_eig >= -FIXED_POINT_PSD_ATOL:
         raise FixedPointNumericalError(
             f"symmetrized fixed point has eigenvalue {min_eig:.3e} below "
             f"-{FIXED_POINT_PSD_ATOL:.0e}"
         )
-    residual = _unless_nan(hermitian_trace_norm, apply(rho) - rho)
+    residual = hermitian_trace_norm(apply(rho) - rho)
     if not residual <= FIXED_POINT_RESIDUAL_ATOL:
         raise FixedPointNumericalError(
             f"fixed-point residual {residual:.3e} exceeds "
@@ -520,16 +512,11 @@ def iterative_fixed_point(channel, rho0, tol=DEFAULT_ITERATE_TOL,
     means slow mixing or non-relaxing dynamics, which :func:`is_relaxing`
     distinguishes.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (channel.system_dim, channel.system_dim):
-        raise ShapeError(
-            f"state has shape {rho0.shape}, channel expects "
-            f"({channel.system_dim}, {channel.system_dim})"
-        )
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    rho0 = channel._state(rho0)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return _settled(*iterate_until(channel._kraus, rho0, float(tol),
-                                   int(max_iter)))
+                                   _count(max_iter, "max_iter")))
 
 
 def _settled(state, used, residual, converged):
@@ -616,7 +603,7 @@ def _lifted_iteration(blocks, start, frame, tol, max_iter):
         return vec.reshape(side, side)
 
     def residual_of(cols):
-        return _unless_nan(hermitian_trace_norm, matrix_of(cols, 1))
+        return hermitian_trace_norm(matrix_of(cols, 1))
 
     def probe(level, cols):
         moved = [power @ col for power, col in zip(powers[level], cols)]

@@ -204,18 +204,29 @@ class DensityReport:
         )
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of a Hermitian matrix or stack, NaN for a non-finite one.
+
+    A matrix with a NaN or infinite entry gets a row of NaN eigenvalues; it
+    never reaches ``eigvalsh``, which raises on a NaN matrix at D >= 3.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(a)
+    vals = np.linalg.eigvalsh(np.where(finite[..., None, None], a, 0.0))
+    return np.where(finite[..., None], vals, np.nan)
+
+
 def _density_defects(rhos: np.ndarray):
     """Hermiticity, trace and least-eigenvalue defects of a matrix or stack.
 
     A matrix with a NaN or infinite entry gets NaN defects, which fail
-    every check; it never reaches ``eigvalsh``, which may raise on it.
+    every check.
     """
     adjoint = rhos.conj().swapaxes(-1, -2)
     herm = np.abs(rhos - adjoint).max(axis=(-2, -1))
     trace = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
-    finite = np.isfinite(rhos).all(axis=(-2, -1))
-    sym = np.where(finite[..., None, None], (rhos + adjoint) / 2, 0.0)
-    min_eig = np.where(finite, np.linalg.eigvalsh(sym).min(axis=-1), np.nan)
+    min_eig = _eigvalsh((rhos + adjoint) / 2).min(axis=-1)
     return herm, trace, min_eig
 
 

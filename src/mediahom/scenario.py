@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
-from .collision import CollisionChannel, checked_collision, joint_unitary
-from .config import parse_config, set_by_path
+from .collision import CollisionChannel, joint_unitary
+from .config import _tolerance, parse_config, set_by_path
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -60,12 +60,9 @@ class ResultTable:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row of width {len(row)} in a table with "
-                    f"{len(self.columns)} columns"
-                )
+        rows, self.rows = self.rows, []
+        for row in rows:
+            self.append(row)
 
     def append(self, row):
         row = tuple(row)
@@ -216,7 +213,7 @@ def _fixed_point_rows(cfg, channel, rho0):
         status = f"no convergence: {exc}"
     else:
         residual = float(hermitian_trace_norm(
-            checked_collision(channel._kraus, iterated) - iterated
+            channel.apply(iterated) - iterated
         ))
         if state is None:
             state = iterated
@@ -358,15 +355,9 @@ def _with_overrides(cfg, tol, max_iter):
         return cfg
     changes = {}
     if tol is not None:
-        if not math.isfinite(tol) or tol <= 0:
-            raise ConfigError(
-                f"tolerances.iterate_tol: must be positive and finite, got {tol}"
-            )
-        changes["iterate_tol"] = float(tol)
+        changes["iterate_tol"] = _tolerance("iterate_tol", tol)
     if max_iter is not None:
-        if max_iter < 1:
-            raise ConfigError(f"tolerances.max_iter: must be >= 1, got {max_iter}")
-        changes["max_iter"] = int(max_iter)
+        changes["max_iter"] = _tolerance("max_iter", max_iter)
     return replace(cfg, **changes)
 
 
@@ -411,10 +402,11 @@ def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
     values = list(values)
     if not values:
         raise ConfigError("sweep.values: expected a non-empty list")
-    # The path and the substituted config must validate before any workers
-    # start; per-point numerical failures are tolerated later, bad configs
-    # are not.
-    parse_config(set_by_path(cfg.raw, param, values[0]))
+    # The path, the substituted config and the overrides must validate
+    # before any workers start; per-point numerical failures are tolerated
+    # later, bad configs are not.
+    _with_overrides(parse_config(set_by_path(cfg.raw, param, values[0])),
+                    tol, max_iter)
 
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")

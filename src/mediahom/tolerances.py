@@ -3,7 +3,7 @@
 All structural and comparison tolerances live here so that every check in
 the code base pulls the same constant instead of re-inventing magic
 numbers.  Values fall in two bands: structural validation of states and
-operators at 1e-10, and reconstruction / oracle comparisons at 1e-8 to
+operators at 1e-10, and derived operators and fixed points at 1e-8 to
 1e-9.
 """
 
@@ -17,7 +17,6 @@ PSD_ATOL = 1e-10
 # Unitarity / completeness of derived objects.
 UNITARITY_ATOL = 1e-9
 KRAUS_COMPLETENESS_ATOL = 1e-9
-RECONSTRUCTION_ATOL = 1e-9
 
 # Entropy handling: eigenvalues are clipped to [0, 1] before taking logs,
 # but only if the clip magnitude stays below this limit.

@@ -390,8 +390,9 @@ def test_channel_construction_errors(rng):
         ch.apply(np.eye(3) / 3)
     with pytest.raises(ValueError, match="trace by nan"):
         ch.apply(np.full((2, 2), np.nan))
-    with pytest.raises(ValueError):
-        ch.iterate(np.eye(2) / 2, -1)
+    for n in (-1, 2.5):
+        with pytest.raises(ValueError, match="collision count"):
+            ch.iterate(np.eye(2) / 2, n)
     with pytest.raises(ShapeError):
         direct_apply(SWAP2, np.eye(3) / 3, ZERO)
     with pytest.raises(ShapeError):

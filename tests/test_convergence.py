@@ -592,8 +592,12 @@ def test_iterative_fixed_point_failure_payload():
 
 def test_iterative_fixed_point_input_validation(rng):
     ch = partial_swap_channel(qmath.random_density(2, rng), 0.5)
-    with pytest.raises(ValueError):
-        iterative_fixed_point(ch, np.eye(2) / 2, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            iterative_fixed_point(ch, np.eye(2) / 2, tol=tol)
+    for max_iter in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            iterative_fixed_point(ch, np.eye(2) / 2, max_iter=max_iter)
     with pytest.raises(ShapeError):
         iterative_fixed_point(ch, np.eye(4) / 4)
 

@@ -58,6 +58,19 @@ def test_trace_norm_matches_svd_route(rng):
     assert hermitian_trace_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_trace_norm_is_nan_exactly_where_a_matrix_is_not_finite(dim, rng):
+    # eigvalsh raises on a NaN matrix at D >= 3; the norm never calls it on one
+    stack = np.stack([qmath.random_hermitian(dim, rng) for _ in range(4)])
+    stack[1, 0, dim - 1] = np.nan
+    stack[3, dim - 1, dim - 1] = np.inf
+    norms = hermitian_trace_norm(stack)
+    assert np.flatnonzero(np.isnan(norms)).tolist() == [1, 3]
+    for k in (0, 2):
+        assert norms[k] == hermitian_trace_norm(stack[k])
+    assert np.isnan(hermitian_trace_norm(stack[3]))
+
+
 def test_trajectory_shape_and_start(rng):
     kraus = damping_kraus(0.5)
     rho = qmath.random_density(2, rng)
@@ -213,7 +226,7 @@ def test_lockstep_iteration_matches_one_channel_at_a_time(dim, ranks, rng):
 
 
 def test_nan_state_never_converges():
-    # a NaN Frobenius norm stops the loop before the exact check
+    # a NaN residual stops the loop under either stopping rule
     kraus = damping_kraus(0.4)
     nan_state = np.full((2, 2), np.nan, dtype=complex)
     _, used, residual, converged = iterate_until(kraus, nan_state, 1e-9, 4)

@@ -340,8 +340,22 @@ def test_run_scenario_override_validation():
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             run_scenario(cfg, tol=tol)
-    with pytest.raises(ConfigError):
-        run_scenario(cfg, max_iter=0)
+    for max_iter in (0, float("nan"), float("inf"), 2.5, True):
+        with pytest.raises(ConfigError, match="tolerances.max_iter"):
+            run_scenario(cfg, max_iter=max_iter)
+
+
+def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
+    cfg = parse_config(swap_chain_raw())
+
+    def no_points(args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(scenario, "_sweep_chunk", no_points)
+    for overrides in ({"tol": float("nan")}, {"max_iter": float("nan")},
+                      {"max_iter": 2.5}):
+        with pytest.raises(ConfigError, match="tolerances"):
+            sweep(cfg, param="t", values=[0.5, 0.7], **overrides)
 
 
 def test_sweep_preserves_value_order():
