@@ -385,17 +385,38 @@ def joint_unitary(system_hamiltonian, interaction_terms, t,
     return qmath.unitary_from_hamiltonian(h_free + sum(terms), t)
 
 
-def _one_ancilla_unitary(system_hamiltonian, interaction_hamiltonian,
-                         ancilla_dim, t):
+def _bath_unitary(system_hamiltonian, interaction_terms, bath_dims, t,
+                  mode="simultaneous"):
+    """:func:`joint_unitary`, once each term is ``D * prod(bath_dims)`` square.
+
+    The error names the index of the first term that is not.
+    """
     h_sys = qmath._as_square(system_hamiltonian, "system Hamiltonian")
-    h_int = qmath._as_square(interaction_hamiltonian, "interaction term")
-    d = h_sys.shape[0]
-    if h_int.shape[0] != d * ancilla_dim:
-        raise ShapeError(
-            f"interaction term has dim {h_int.shape[0]}, expected "
-            f"{d} * {ancilla_dim} = {d * ancilla_dim}"
-        )
-    return joint_unitary(h_sys, [h_int], t)
+    joint = h_sys.shape[0] * int(np.prod(bath_dims))
+    terms = [qmath._as_square(h, "interaction term") for h in interaction_terms]
+    for b, term in enumerate(terms):
+        if term.shape[0] != joint:
+            raise ShapeError(
+                f"interaction term {b} has dim {term.shape[0]}, expected the "
+                f"joint dim {joint} of the system and its baths"
+            )
+    return joint_unitary(h_sys, terms, t, mode)
+
+
+def _bath_channel(system_hamiltonian, interaction_terms, bath_states, t,
+                  mode="simultaneous"):
+    """The channel of a system colliding with fresh ``bath_states`` at once.
+
+    The baths are the trailing factors, in list order, prepared in the
+    tensor product of ``bath_states``; without baths the channel is the
+    conjugation by ``exp(-i H_A t)``.  :func:`_bath_unitary` checks the terms.
+    """
+    states = [qmath._as_square(s, "density matrix") for s in bath_states]
+    dims = tuple(state.shape[0] for state in states)
+    unitary = _bath_unitary(system_hamiltonian, interaction_terms, dims, t,
+                            mode)
+    ancilla = qmath.tensor(states) if states else np.eye(1)
+    return CollisionChannel(unitary, ancilla, dims or (1,))
 
 
 def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
@@ -406,12 +427,8 @@ def build_channel(system_hamiltonian, interaction_hamiltonian, ancilla_state,
     ``H_A (x) I``; ``interaction_hamiltonian`` lives on the joint space.
     ``t = 0`` is allowed and yields the identity map.
     """
-    omega = qmath._as_square(ancilla_state, "density matrix")
-    anc = omega.shape[0]
-    unitary = _one_ancilla_unitary(
-        system_hamiltonian, interaction_hamiltonian, anc, t
-    )
-    return CollisionChannel(unitary, omega, (anc,))
+    return _bath_channel(system_hamiltonian, [interaction_hamiltonian],
+                         [ancilla_state], t)
 
 
 def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
@@ -428,22 +445,9 @@ def build_two_bath_channel(system_hamiltonian, interaction_b, interaction_c,
     collisions of duration ``t`` each — first with B, then with C — which
     is a different channel retained for comparison studies.
     """
-    h_sys = qmath._as_square(system_hamiltonian)
-    omega_b = qmath.ensure_density(state_b)
-    nu_c = qmath.ensure_density(state_c)
-    d = h_sys.shape[0]
-    dim_b, dim_c = omega_b.shape[0], nu_c.shape[0]
-    joint = d * dim_b * dim_c
-    terms = [qmath._as_square(term) for term in (interaction_b, interaction_c)]
-    for name, term in zip("BC", terms):
-        if term.shape[0] != joint:
-            raise ShapeError(
-                f"interaction term for bath {name} has dim {term.shape[0]}, "
-                f"expected joint dim {joint}"
-            )
-    unitary = joint_unitary(h_sys, terms, t, mode)
-    ancilla = qmath.tensor([omega_b, nu_c])
-    return CollisionChannel(unitary, ancilla, (dim_b, dim_c))
+    states = [qmath.ensure_density(state) for state in (state_b, state_c)]
+    return _bath_channel(system_hamiltonian, [interaction_b, interaction_c],
+                         states, t, mode)
 
 
 def direct_apply(joint_unitary, rho, ancilla_state):
@@ -496,9 +500,8 @@ def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,
     stacks of all of them come from one batched pass.
     """
     anc = np.shape(sequence.base_state)[0]
-    unitary = _one_ancilla_unitary(
-        system_hamiltonian, interaction_hamiltonian, anc, t
-    )
+    unitary = _bath_unitary(system_hamiltonian, [interaction_hamiltonian],
+                            (anc,), t)
     return CollisionChannel._sharing(
         _checked_unitary(unitary), sequence.ancilla_states(), (anc,)
     )

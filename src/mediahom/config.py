@@ -113,6 +113,17 @@ def _is_index(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _integer(where, value, least):
+    """``value`` as an int, refused (naming ``where``) unless an integer >=
+    ``least``: the check of every integer a config gives or a run overrides.
+    """
+    if not _is_index(value) or value < least:
+        raise ConfigError(
+            f"{where}: must be an integer >= {least}, got {value!r}"
+        )
+    return int(value)
+
+
 def _tolerance(key, value):
     """``tolerances.<key>`` checked, as a config gives it or a run overrides it.
 
@@ -120,11 +131,7 @@ def _tolerance(key, value):
     finite numbers; a boolean is neither.  Returns an int or a float.
     """
     if key == "max_iter":
-        if not _is_index(value) or value < 1:
-            raise ConfigError(
-                f"tolerances.max_iter: must be a positive integer, got {value!r}"
-            )
-        return int(value)
+        return _integer("tolerances.max_iter", value, 1)
     if not _is_finite_number(value) or value <= 0:
         raise ConfigError(
             f"tolerances.{key}: must be positive and finite, got {value!r}"
@@ -276,11 +283,8 @@ def _parse_initial_state(spec, dim):
     if isinstance(spec, dict) and len(spec) == 1:
         (kind, value), = spec.items()
         if kind == "random_seed":
-            if not _is_index(value):
-                raise ConfigError(
-                    f"initial_state.random_seed: expected an integer, got {value!r}"
-                )
-            return {"random_seed": value}
+            return {"random_seed": _integer("initial_state.random_seed",
+                                            value, 0)}
         if kind == "matrix":
             return {"matrix": _parse_density(
                 value, dim, "system dimension", "initial_state.matrix"

@@ -66,30 +66,16 @@ class ConvergenceReport:
     fixed_point: np.ndarray | None
     spectral_gap: float
     peripheral_count: int
-    iterations_used: int
     residual: float
     _blocks: list = field(default_factory=list, compare=False, repr=False)
 
 
-# Rows (and columns) per cache-sized piece of an n x n pass at large n.
-_TILE = 256
-
-
 def _components(linked):
-    """Weakly connected components of a boolean adjacency matrix.
+    """Connected components of a symmetric boolean adjacency matrix.
 
     Returns sorted index arrays, ordered by their smallest index.
     """
     n = linked.shape[0]
-    # linked | linked.T by tiles that stay in cache: at n = 4096 the whole
-    # transposed operand makes it four times slower
-    sym = np.empty_like(linked)
-    for i in range(0, n, _TILE):
-        for j in range(0, n, _TILE):
-            np.logical_or(linked[i:i + _TILE, j:j + _TILE],
-                          linked[j:j + _TILE, i:i + _TILE].T,
-                          out=sym[i:i + _TILE, j:j + _TILE])
-    linked = sym
     blocks = []
     unplaced = np.ones(n, dtype=bool)
     while unplaced.any():
@@ -216,6 +202,7 @@ def _split(rows):
     permutation of its basis.  The blocks are the weakly connected
     components of the graph that links ``i`` and ``j`` wherever ``|S_ij|``
     exceeds ``BLOCK_SPLIT_RTOL * max|S|``, ordered by their smallest index.
+    The graph is built both ways as the rows are read, so it is held once.
 
     A channel maps Hermitian matrices to Hermitian matrices, that is
     ``S[P, P] = conj(S)`` for the swap ``P: (i, j) -> (j, i)`` of a
@@ -247,12 +234,13 @@ def _split(rows):
     # true maximum, and links again only where it is larger.
     pairs = np.arange(side) * (side + 1)
     scale = np.abs(_entries(rows, pairs, buffer)).max(initial=0.0)
-    linked = np.empty((n, n), dtype=bool)
+    linked = np.zeros((n, n), dtype=bool)
     top = _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
     if not np.isfinite(top):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     if top > scale:
         scale = top
+        linked.fill(False)
         _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
     tol = BLOCK_SPLIT_RTOL * scale
     blocks = _components(linked)
@@ -297,20 +285,25 @@ def _split(rows):
 
 
 def _link(rows, buffer, tol, linked):
-    """Write ``|S| > tol`` over ``linked``, reading S's rows into ``buffer``.
+    """Link ``i`` and ``j`` both ways in an all-False ``linked`` where
+    ``|S_ij| > tol``, reading S's rows into ``buffer`` a band at a time.
 
     Returns ``max|S|``, NaN if S holds a NaN.
     """
     n, band = rows.shape[0], buffer.shape[0]
     mags = np.empty(buffer.shape)
+    masks = np.empty(buffer.shape, dtype=bool)
     top = 0.0
     for start in range(0, n, band):
         stop = min(start + band, n)
         values = rows.take(np.arange(start, stop), axis=0,
                            out=buffer[:stop - start])
-        np.abs(values, out=mags[:stop - start])
-        np.greater(mags[:stop - start], tol, out=linked[start:stop])
-        top = np.maximum(top, mags[:stop - start].max())
+        mag, mask = mags[:stop - start], masks[:stop - start]
+        np.abs(values, out=mag)
+        np.greater(mag, tol, out=mask)
+        linked[start:stop] |= mask
+        linked[:, start:stop] |= mask.T
+        top = np.maximum(top, mag.max())
     return top
 
 
@@ -493,12 +486,11 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
                 relaxing=True,
                 reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
                 fixed_point=rho, spectral_gap=gap, peripheral_count=1,
-                iterations_used=0, residual=residual, _blocks=split,
+                residual=residual, _blocks=split,
             )
     return ConvergenceReport(
         relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
-        peripheral_count=peripheral, iterations_used=0, residual=float("inf"),
-        _blocks=split,
+        peripheral_count=peripheral, residual=float("inf"), _blocks=split,
     )
 
 
@@ -574,20 +566,19 @@ def _lifting_blocks(blocks, start, rank, gap, tol, max_iter):
     return touched
 
 
-def _lifted_iteration(blocks, start, frame, tol, max_iter):
+def _lifted_iteration(blocks, start, tol, max_iter):
     """:func:`iterate_until`'s outcome, found from powers of ``blocks``.
 
-    ``blocks`` are :func:`_lifting_blocks`' blocks of a channel ``Phi`` in
-    the unitary frame ``frame`` (None for no frame), and ``start`` is the
-    start state in that frame.  The step residual ``r_k = ||Phi^(k-1)(rho_1
-    - rho_0)||_1`` never grows with k, because a channel contracts the trace
-    norm.  So the first k with ``r_k <= tol`` is found by jumps of 2^j
-    collisions, the block powers ``Phi^(2^j)`` squared one by one while a
-    jump still lands on a residual above ``tol``, then by walking j back
-    down with the stored powers; each probe costs one ``eigvalsh`` of the
-    step.  Returns (state, iterations, residual, converged) as
-    :func:`iterate_until` does (``max_iter >= 1``), with the state rotated
-    back out of the frame.
+    ``blocks`` are :func:`_lifting_blocks`' blocks of a channel ``Phi``,
+    and ``start`` is the start state in their basis.  The step residual
+    ``r_k = ||Phi^(k-1)(rho_1 - rho_0)||_1`` never grows with k, because a
+    channel contracts the trace norm.  So the first k with ``r_k <= tol``
+    is found by jumps of 2^j collisions, the block powers ``Phi^(2^j)``
+    squared one by one while a jump still lands on a residual above
+    ``tol``, then by walking j back down with the stored powers; each probe
+    costs one ``eigvalsh`` of the step.  Returns (state, iterations,
+    residual, converged) as :func:`iterate_until` does (``max_iter >= 1``),
+    the state in the blocks' basis.
     """
     side, vec = start.shape[0], start.ravel()
     columns = []  # per block: the state after `count` collisions, its step
@@ -636,10 +627,8 @@ def _lifted_iteration(blocks, start, frame, tol, max_iter):
     converged = hit is not None and not np.isnan(hit[1])
     if hit is not None:
         columns, residual = hit
-    state = matrix_of(columns, 0)
-    if frame is not None:
-        state = frame @ state @ frame.conj().T
-    return state, count + 1 if converged else max_iter, residual, converged
+    return (matrix_of(columns, 0), count + 1 if converged else max_iter,
+            residual, converged)
 
 
 def factorized_eigenvector_count(h_total, dims, phi):

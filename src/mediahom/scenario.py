@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
-from .collision import CollisionChannel, joint_unitary
-from .config import _tolerance, parse_config, set_by_path
+from .collision import _bath_channel
+from .config import _integer, _tolerance, parse_config, set_by_path
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -101,19 +101,14 @@ def build_scenario_channel(cfg):
     Bath ancillas occupy trailing tensor factors in config order.  With no
     baths the channel degenerates to unitary conjugation (trivial ancilla).
     """
-    spec = cfg.network_spec()
-    h_sys = system_hamiltonian(spec)
-    n_baths = len(cfg.baths)
-    dims = [cfg.local_dim] * (cfg.sites + n_baths)
+    h_sys = system_hamiltonian(cfg.network_spec())
+    dims = [cfg.local_dim] * (cfg.sites + len(cfg.baths))
     terms = [
         interaction_hamiltonian(dims, [(cfg.sites + i, bath.site)])
         for i, bath in enumerate(cfg.baths)
     ]
-    unitary = joint_unitary(h_sys, terms, cfg.t, cfg.two_bath_mode)
-    if n_baths == 0:
-        return CollisionChannel(unitary, np.eye(1), (1,))
-    ancilla = qmath.tensor([b.state for b in cfg.baths])
-    return CollisionChannel(unitary, ancilla, (cfg.local_dim,) * n_baths)
+    return _bath_channel(h_sys, terms, [b.state for b in cfg.baths], cfg.t,
+                         cfg.two_bath_mode)
 
 
 def _is_diagonal(matrix):
@@ -184,7 +179,8 @@ def _fixed_point_rows(cfg, channel, rho0):
     split.  The iteration lifts powers of the blocks the start state
     touches where :func:`convergence._lifting_blocks` finds that cheaper,
     and collides the Kraus stack otherwise; both give the Kraus loop's
-    collision count.
+    collision count.  The start state is rotated into the baths' frame for
+    the lifting, and its iterated state back out of it.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     framed, frame = _framed_channel(cfg, channel)
@@ -204,9 +200,11 @@ def _fixed_point_rows(cfg, channel, rho0):
         else:
             iterated, collisions = convergence._settled(
                 *convergence._lifted_iteration(
-                    blocks, start, frame, cfg.iterate_tol, cfg.max_iter
+                    blocks, start, cfg.iterate_tol, cfg.max_iter
                 )
             )
+            if frame is not None:
+                iterated = frame @ iterated @ frame.conj().T
     except ConvergenceError as exc:
         residual = exc.residual
         collisions = exc.iterations
@@ -333,7 +331,7 @@ def _point_rows(cfg, seed):
 
 def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     """Execute one scenario; optional arguments override config tolerances."""
-    cfg = _with_overrides(cfg, tol, max_iter)
+    cfg = _with_overrides(cfg, tol, max_iter, seed)
     started = time.perf_counter()
     rows = _point_rows(cfg, seed)
     elapsed = time.perf_counter() - started
@@ -350,7 +348,10 @@ def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     )
 
 
-def _with_overrides(cfg, tol, max_iter):
+def _with_overrides(cfg, tol, max_iter, seed):
+    """``cfg`` with a run's tolerance overrides; each, and ``seed``, checked."""
+    if seed is not None:
+        _integer("seed", seed, 0)
     if tol is None and max_iter is None:
         return cfg
     changes = {}
@@ -377,7 +378,7 @@ def _sweep_chunk(args):
 
     def rows(value):
         cfg = parse_config(set_by_path(raw, param, value))
-        return _point_rows(_with_overrides(cfg, tol, max_iter), seed)
+        return _point_rows(_with_overrides(cfg, tol, max_iter, seed), seed)
 
     return [_guarded(rows, value) for value in values]
 
@@ -406,10 +407,8 @@ def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
     # before any workers start; per-point numerical failures are tolerated
     # later, bad configs are not.
     _with_overrides(parse_config(set_by_path(cfg.raw, param, values[0])),
-                    tol, max_iter)
-
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+                    tol, max_iter, seed)
+    jobs = _integer("jobs", jobs, 1)
     started = time.perf_counter()
     workers = min(jobs, len(values))
     cuts = [len(values) * k // workers for k in range(workers + 1)]

@@ -112,6 +112,19 @@ def test_sweep_without_section_fails(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys):
+    # numpy's generator refuses a negative seed only once a run draws the
+    # start, so both are checked before that
+    cfg = write_config(tmp_path, initial_state={"random_seed": -1})
+    for command in ("check", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert ("config error: initial_state.random_seed: "
+                in capsys.readouterr().err)
+    cfg = write_config(tmp_path, initial_state="random")
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "config error: seed: " in capsys.readouterr().err
+
+
 def test_sweep_jobs_below_one_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep={"param": "t", "values": [0.2, 0.4]})
     assert main(["sweep", "--config", str(cfg), "--jobs", "0"]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mediahom import collision, network, qmath
+from mediahom import collision, network, qmath, scenario
 from mediahom.collision import (
     CollisionChannel,
     ControllerSequence,
@@ -17,7 +17,9 @@ from mediahom.collision import (
     unvectorize,
     vectorize,
 )
+from mediahom.config import parse_config
 from mediahom.errors import CapacityError, ShapeError
+from mediahom.scenario import build_scenario_channel
 
 SWAP2 = network.swap_operator([2, 2], 0, 1)
 ZERO = qmath.projector([1, 0])
@@ -367,6 +369,77 @@ def test_capacity_guard_on_superoperator():
     assert ch.system_dim == dim
     with pytest.raises(CapacityError):
         ch.superoperator()
+
+
+BUILDERS = ["build_channel", "two_bath_simultaneous", "two_bath_alternating",
+            "scenario_0_baths", "scenario_1_bath", "scenario_2_baths",
+            "controller_sequence"]
+
+
+def builder_case(name, monkeypatch):
+    """``(build, h_sys, terms, per-channel bath states, mode)`` of a builder.
+
+    ``build(terms)`` gives the builder's channels with ``terms`` as their
+    interaction terms, in bath order; a 2-site swap chain with baths at
+    sites 1 and then 0 throughout.
+    """
+    baths = int(name[9]) if name.startswith("scenario") else (
+        2 if name.startswith("two_bath") else 1)
+    raw = {"model": "swap", "sites": 2, "couplings": {"chain": 1.0},
+           "t": 0.4, "initial_state": "ground", "analysis": "fixed_point",
+           "baths": [{"site": 1, "state": {"diag": 0.7}},
+                     {"site": 0, "state": "plus"}][:baths],
+           "two_bath_mode": ("alternating" if name.endswith("alternating")
+                             else "simultaneous")}
+    cfg = parse_config(raw)
+    h_sys = network.system_hamiltonian(cfg.network_spec())
+    dims = [2] * (2 + baths)
+    terms = [network.interaction_hamiltonian(dims, [(2 + i, bath.site)])
+             for i, bath in enumerate(cfg.baths)]
+    states = [[bath.state for bath in cfg.baths]]
+    if name == "build_channel":
+        def build(terms):
+            return [build_channel(h_sys, terms[0], states[0][0], cfg.t)]
+    elif name.startswith("two_bath"):
+        def build(terms):
+            return [build_two_bath_channel(h_sys, *terms, *states[0], cfg.t,
+                                           cfg.two_bath_mode)]
+    elif name.startswith("scenario"):
+        def build(terms):
+            # the runner builds its terms through its own module globals
+            supplied = iter(terms)
+            monkeypatch.setattr(scenario, "interaction_hamiltonian",
+                                lambda dims, pairs: next(supplied))
+            return [build_scenario_channel(cfg)]
+    else:
+        sequence = ControllerSequence(states[0][0], ((0.9, ZERO), (0.6, ZERO),
+                                                     (1.0, ZERO)))
+        states = [[omega] for omega in sequence.ancilla_states()]
+
+        def build(terms):
+            return imperfect_controller_sequence(h_sys, terms[0], cfg.t,
+                                                 sequence)
+    return build, h_sys, terms, states, cfg.two_bath_mode
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_every_builder_builds_the_channel_of_its_baths(name, monkeypatch):
+    build, h_sys, terms, states, mode = builder_case(name, monkeypatch)
+    channels = build(terms)
+    assert len(channels) == len(states)
+    for channel, baths in zip(channels, states):
+        want = CollisionChannel(
+            joint_unitary(h_sys, terms, 0.4, mode),
+            qmath.tensor(baths) if baths else np.eye(1),
+            tuple(state.shape[0] for state in baths) or (1,),
+        )
+        assert np.array_equal(channel.kraus_operators(),
+                              want.kraus_operators())
+    # one shape check serves every builder, and names the term it refuses
+    for b, term in enumerate(terms):
+        wrong = terms[:b] + [np.eye(term.shape[0] // 2)] + terms[b + 1:]
+        with pytest.raises(ShapeError, match=f"^interaction term {b} has"):
+            build(wrong)
 
 
 def test_channel_construction_errors(rng):

@@ -225,6 +225,13 @@ def test_initial_state_forms():
         parse_config(base_raw(initial_state={"random_seed": "x"}))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, True, None])
+def test_random_seed_must_be_an_integer_at_least_zero(seed):
+    # numpy's generator refuses a negative seed only when a run draws
+    with pytest.raises(ConfigError, match="^initial_state.random_seed: "):
+        parse_config(base_raw(initial_state={"random_seed": seed}))
+
+
 def test_trajectory_storage_limit():
     # the 3-site chain stores 64 entries per state
     steps = TRAJECTORY_ENTRIES_LIMIT // 64 - 1

@@ -469,12 +469,16 @@ def assert_same_split(got, want):
 def test_components_are_the_weak_components_of_a_directed_graph(
         seed, n, density):
     # sparse one-way links, so a component is often joined only against
-    # the direction of some of its links
-    linked = np.random.default_rng(seed).random((n, n)) < density
-    count, labels = connected_components(linked, directed=True,
+    # the direction of some of its links; _link reads them three rows at a
+    # time and writes each link both ways
+    directed = np.random.default_rng(seed).random((n, n)) < density
+    count, labels = connected_components(directed, directed=True,
                                          connection="weak")
     want = sorted(np.flatnonzero(labels == label).tolist()
                   for label in range(count))
+    linked = np.zeros((n, n), dtype=bool)
+    convergence._link(directed.astype(complex), np.empty((3, n), complex),
+                      0.5, linked)
     got = convergence._components(linked)
     assert [block.tolist() for block in got] == want
 
@@ -624,7 +628,9 @@ def assert_lifting_matches_kraus(matrix, frame, kraus, rho0, tol, max_iter):
     # planned for 10**9 collisions, lifting always pays
     blocks = convergence._lifting_blocks(convergence._split(matrix), start,
                                          len(kraus), 0.0, tol, 10 ** 9)
-    got = convergence._lifted_iteration(blocks, start, frame, tol, max_iter)
+    got = convergence._lifted_iteration(blocks, start, tol, max_iter)
+    if frame is not None:
+        got = (frame @ got[0] @ frame.conj().T,) + got[1:]
     want = iterate_until(kraus, rho0, tol, max_iter)
     assert (got[1], got[3]) == (want[1], want[3])
     assert got[2] == pytest.approx(want[2], rel=1e-9, abs=1e-14)
@@ -705,7 +711,7 @@ def test_lifting_keeps_a_block_that_fails_its_symmetry_check_complex(
     (block,) = [b for b in blocks if entry in b.idx]
     assert block.layout is None and block.mirror is None
     state, used, residual, converged = convergence._lifted_iteration(
-        blocks, rho0, None, 1e-9, 500
+        blocks, rho0, 1e-9, 500
     )
     # the map is no longer a channel, so the first count is not promised;
     # the state and step at the count found are the dense powers'
@@ -727,7 +733,7 @@ def test_nan_start_never_converges_on_any_route(dim, rng):
         convergence._split(kraus_superoperator(kraus)), nan_state, 2, 0.0,
         1e-9, 10 ** 9,
     )
-    lifted = convergence._lifted_iteration(blocks, nan_state, None, 1e-9, 5)
+    lifted = convergence._lifted_iteration(blocks, nan_state, 1e-9, 5)
     target = np.eye(dim, dtype=complex) / dim
     for _, used, residual, converged in (
         iterate_until(kraus, nan_state, 1e-9, 5),

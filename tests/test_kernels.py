@@ -212,8 +212,7 @@ def test_lockstep_iteration_matches_one_channel_at_a_time(dim, ranks, rng):
         # planned for 10**9 collisions, lifting always pays
         blocks = convergence._lifting_blocks(convergence._split(matrix), rho0,
                                              len(ops), 0.0, tol, 10 ** 9)
-        got = convergence._lifted_iteration(blocks, rho0, None, tol,
-                                            max_iter)
+        got = convergence._lifted_iteration(blocks, rho0, tol, max_iter)
         want = iterate_until(ops, rho0, tol, max_iter)
         assert (got[1], got[3]) == (want[1], want[3])
         outcomes.add(want[3])

@@ -258,9 +258,8 @@ def test_bath_frame_report_matches_computational_frame(raw, framed):
 
 def largest_block(superoperator):
     mags = np.abs(superoperator.matrix)
-    blocks = convergence._components(
-        mags > convergence.BLOCK_SPLIT_RTOL * mags.max()
-    )
+    linked = mags > convergence.BLOCK_SPLIT_RTOL * mags.max()
+    blocks = convergence._components(linked | linked.T)
     return max(block.size for block in blocks)
 
 
@@ -356,6 +355,20 @@ def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
                       {"max_iter": 2.5}):
         with pytest.raises(ConfigError, match="tolerances"):
             sweep(cfg, param="t", values=[0.5, 0.7], **overrides)
+    for key, value in (("seed", -1), ("seed", 1.5), ("jobs", 2.5),
+                       ("jobs", True), ("jobs", float("nan")), ("jobs", "2"),
+                       ("jobs", 0)):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            sweep(cfg, param="t", values=[0.5, 0.7], **{key: value})
+
+
+def test_run_scenario_refuses_a_bad_seed():
+    cfg = parse_config(swap_chain_raw(initial_state="random"))
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ConfigError, match="^seed: "):
+            run_scenario(cfg, seed=seed)
+    assert run_scenario(cfg, seed=np.int64(3)).rows == \
+        run_scenario(cfg, seed=3).rows
 
 
 def test_sweep_preserves_value_order():
@@ -550,6 +563,32 @@ def test_sweep_iterates_each_point_after_its_spectral_step(monkeypatch):
             "iterative_fixed_point" if v == 5 else "_lifted_iteration",
         )
     ]
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0])
+def test_lifted_rows_in_the_bath_frame_equal_the_kraus_rows(delta,
+                                                              monkeypatch):
+    # the point lifts its blocks in the baths' frame; the runner rotates
+    # the lifted state back out, so its one-collision residual is the
+    # Kraus loop's, at most iterate_tol
+    cfg = parse_config(bundled_raw("anisotropy_entanglement_sweep",
+                                   delta=delta))
+    assert scenario._bath_frame(cfg) is not None
+    lifting = []
+
+    def spy(*args, _run=convergence._lifting_blocks):
+        lifting.append(_run(*args))
+        return lifting[-1]
+
+    monkeypatch.setattr(convergence, "_lifting_blocks", spy)
+    lifted = run_scenario(cfg)
+    assert lifting[0] is not None
+    monkeypatch.setattr(convergence, "_lifting_blocks", lambda *args: None)
+    kraus = run_scenario(cfg)
+    assert lifted.column("collisions") == kraus.column("collisions")
+    (got,), (want,) = lifted.column("residual"), kraus.column("residual")
+    assert got <= cfg.iterate_tol
+    assert got == pytest.approx(want, rel=1e-6, abs=1e-15)
 
 
 @pytest.mark.parametrize("name,overrides", [
