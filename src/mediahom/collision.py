@@ -175,8 +175,9 @@ def _build_kraus(unitary, omegas, ancilla_dims):
              + np.einsum("nkij,nkij->nk", ops.imag, ops.imag))
     used = np.repeat(kept, anc, axis=1) & ~(norms < _KRAUS_WEIGHT_CUTOFF**2)
     ops[~used] = 0.0
+    flat = ops.reshape(n, -1, d)
     completeness = np.abs(
-        np.einsum("nkji,nkjl->nil", ops.conj(), ops) - np.eye(d)
+        flat.conj().swapaxes(1, 2) @ flat - np.eye(d)
     ).max(axis=(1, 2))
     failed = np.flatnonzero(~(completeness <= KRAUS_COMPLETENESS_ATOL))
     if failed.size:

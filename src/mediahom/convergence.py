@@ -70,26 +70,6 @@ class ConvergenceReport:
     _blocks: list = field(default_factory=list, compare=False, repr=False)
 
 
-def _components(linked):
-    """Connected components of a symmetric boolean adjacency matrix.
-
-    Returns sorted index arrays, ordered by their smallest index.
-    """
-    n = linked.shape[0]
-    blocks = []
-    unplaced = np.ones(n, dtype=bool)
-    while unplaced.any():
-        block = np.zeros(n, dtype=bool)
-        block[np.argmax(unplaced)] = True
-        frontier = block.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~block
-            block |= frontier
-        unplaced &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
 def _hermitian_layout(block, side):
     """A self-twin block's indices ordered (diagonal, upper, lower).
 
@@ -202,7 +182,9 @@ def _split(rows):
     permutation of its basis.  The blocks are the weakly connected
     components of the graph that links ``i`` and ``j`` wherever ``|S_ij|``
     exceeds ``BLOCK_SPLIT_RTOL * max|S|``, ordered by their smallest index.
-    The graph is built both ways as the rows are read, so it is held once.
+    Each band's links are merged into one array of ``n`` roots as the rows
+    are read (:func:`_link`), so the split holds no ``n x n`` array: its
+    largest arrays are the band buffer and the blocks it returns.
 
     A channel maps Hermitian matrices to Hermitian matrices, that is
     ``S[P, P] = conj(S)`` for the swap ``P: (i, j) -> (j, i)`` of a
@@ -234,31 +216,31 @@ def _split(rows):
     # true maximum, and links again only where it is larger.
     pairs = np.arange(side) * (side + 1)
     scale = np.abs(_entries(rows, pairs, buffer)).max(initial=0.0)
-    linked = np.zeros((n, n), dtype=bool)
-    top = _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
+    root = np.arange(n)
+    top = _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, root)
     if not np.isfinite(top):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     if top > scale:
         scale = top
-        linked.fill(False)
-        _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, linked)
+        root = np.arange(n)
+        _link(rows, buffer, BLOCK_SPLIT_RTOL * scale, root)
     tol = BLOCK_SPLIT_RTOL * scale
-    blocks = _components(linked)
-    del linked  # not needed while the blocks are read
+    # each root is its block's smallest index, so a stable sort by root
+    # gives the blocks ordered by their smallest index, each one sorted
+    order = np.argsort(root, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    sizes = np.bincount(root)
     swap = np.arange(n).reshape(side, side).T.ravel()
-    label = np.empty(n, dtype=int)
-    for i, b in enumerate(blocks):
-        label[b] = i
 
     split, paired = [], set()
-    for i, b in enumerate(blocks):
-        if i in paired:
+    for b in blocks:
+        if b[0] in paired:
             continue  # kept with its twin
-        twin = label[swap[b[0]]]
-        # the swap must map the block onto a whole block; a twin before i
+        twin = root[swap[b[0]]]
+        # the swap must map the block onto a whole block; a twin before b
         # failed the symmetry check when it was reached
-        whole = blocks[twin].size == b.size and (label[swap[b]] == twin).all()
-        if whole and twin == i:
+        whole = sizes[twin] == b.size and (root[swap[b]] == twin).all()
+        if whole and twin == b[0]:
             idx, p, h = _hermitian_layout(b, side)
             form = _real_form(
                 _entries(rows, idx, buffer).astype(complex, copy=False), p, h
@@ -270,7 +252,7 @@ def _split(rows):
                 split.append(_Block(form.real.copy(), idx, (p, h)))
                 continue
         entries = _entries(rows, b, buffer)
-        if whole and twin > i:
+        if whole and twin > b[0]:
             mirror = swap[b]
             defect = max(
                 np.abs(values - entries[start:start + len(values)].conj()).max()
@@ -284,26 +266,36 @@ def _split(rows):
     return split
 
 
-def _link(rows, buffer, tol, linked):
-    """Link ``i`` and ``j`` both ways in an all-False ``linked`` where
-    ``|S_ij| > tol``, reading S's rows into ``buffer`` a band at a time.
+def _link(rows, buffer, tol, root):
+    """Join ``i`` and ``j`` in the union-find ``root`` wherever ``|S_ij| >
+    tol``, reading S's rows into ``buffer`` a band at a time.
+
+    Every root is, and stays, the smallest index of its set (``np.arange``
+    to start): a band's links hook the larger root onto the smaller, then
+    every index jumps to its root, until no link joins two roots (after
+    Shiloach and Vishkin, J. Algorithms 3, 1982).
 
     Returns ``max|S|``, NaN if S holds a NaN.
     """
     n, band = rows.shape[0], buffer.shape[0]
     mags = np.empty(buffer.shape)
-    masks = np.empty(buffer.shape, dtype=bool)
     top = 0.0
     for start in range(0, n, band):
         stop = min(start + band, n)
         values = rows.take(np.arange(start, stop), axis=0,
                            out=buffer[:stop - start])
-        mag, mask = mags[:stop - start], masks[:stop - start]
-        np.abs(values, out=mag)
-        np.greater(mag, tol, out=mask)
-        linked[start:stop] |= mask
-        linked[:, start:stop] |= mask.T
+        mag = np.abs(values, out=mags[:stop - start])
         top = np.maximum(top, mag.max())
+        # the roots at each end of the band's links that join two roots
+        links = (mag > tol) & (root[start:stop, None] != root)
+        a, b = np.divmod(np.flatnonzero(links), n)
+        a, b = root[start:stop][a], root[b]
+        while (apart := a != b).any():
+            a, b = a[apart], b[apart]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(root[root], root):
+                root[:] = root[root]
+            a, b = root[a], root[b]
     return top
 
 
@@ -346,7 +338,10 @@ def _solved_fixed_point(block, side):
             "fixed-point eigenvector is traceless; cannot normalize"
         )
     w = trace / p
-    system = block.matrix - np.eye(trace.size) + np.outer(w, trace)
+    # R - I + w t^T, rounded as written but with two fewer n x n temporaries
+    system = block.matrix.copy()
+    system[np.diag_indices(trace.size)] -= 1.0
+    system += np.outer(w, trace)
     try:
         coords = np.linalg.solve(system, w)
     except np.linalg.LinAlgError as exc:

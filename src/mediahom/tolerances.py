@@ -42,8 +42,10 @@ EIGENSPACE_GROUP_ATOL = 1e-8
 FACTORIZED_WEIGHT_ATOL = 1e-8
 
 # Dense superoperator construction, and the block split of a channel's
-# superoperator, are refused above this system dimension: the matrix grows
-# as dim**4 complex entries, and the split's link graph as dim**4 bytes.
+# superoperator, are refused above this system dimension.  It bounds the
+# dense matrix, dim**4 complex entries (268 MB at 64), and the size and
+# eigvals cost of the blocks that the split holds, until a limit on the
+# largest block replaces it.
 SUPEROPERATOR_DIM_LIMIT = 64
 
 # Configs are refused when the joint dimension of the network and its bath

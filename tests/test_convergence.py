@@ -470,17 +470,17 @@ def test_components_are_the_weak_components_of_a_directed_graph(
         seed, n, density):
     # sparse one-way links, so a component is often joined only against
     # the direction of some of its links; _link reads them three rows at a
-    # time and writes each link both ways
+    # time, so links also cross bands
     directed = np.random.default_rng(seed).random((n, n)) < density
-    count, labels = connected_components(directed, directed=True,
-                                         connection="weak")
-    want = sorted(np.flatnonzero(labels == label).tolist()
-                  for label in range(count))
-    linked = np.zeros((n, n), dtype=bool)
+    _, labels = connected_components(directed, directed=True,
+                                     connection="weak")
+    root = np.arange(n)
     convergence._link(directed.astype(complex), np.empty((3, n), complex),
-                      0.5, linked)
-    got = convergence._components(linked)
-    assert [block.tolist() for block in got] == want
+                      0.5, root)
+    # every index ends at the smallest index of its component
+    smallest = np.array([np.argmax(labels == label) for label in labels],
+                        dtype=int)
+    assert np.array_equal(root, smallest)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -541,8 +541,28 @@ def test_split_tolerance_follows_the_largest_entry():
     assert covered == [[0], [1], [2], [3]]
 
 
+def test_split_holds_no_n_by_n_array():
+    # conjugation by a diagonal unitary has a diagonal S, so each entry
+    # (i, j) of a d = 32 state is a block, kept once with its twin (j, i)
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(32))
+    channel = CollisionChannel(np.kron(np.diag(phases), np.eye(2)),
+                               qmath.projector([1, 0]), (2,))
+    rows = channel._superoperator_rows()
+    n = rows.shape[0]
+    tracemalloc.start()
+    try:
+        split = convergence._split(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(split) == 32 + 32 * 31 // 2
+    # a boolean n x n link graph alone would take n**2 bytes, 1 MiB
+    assert peak < n * n
+
+
 def test_channel_route_refuses_large_systems_before_allocating():
-    # the link graph alone would be 128**4 bytes, 268 MB
+    # the dense superoperator would be 128**4 complex entries, 4.3 GB; the
+    # limit is checked before it or any row of the split is allocated
     channel = CollisionChannel(np.eye(2 * 128), qmath.projector([1, 0]), (2,))
     tracemalloc.start()
     try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from mediahom import convergence, qmath, scenario
 from mediahom.config import parse_config, set_by_path
@@ -259,8 +260,8 @@ def test_bath_frame_report_matches_computational_frame(raw, framed):
 def largest_block(superoperator):
     mags = np.abs(superoperator.matrix)
     linked = mags > convergence.BLOCK_SPLIT_RTOL * mags.max()
-    blocks = convergence._components(linked | linked.T)
-    return max(block.size for block in blocks)
+    _, labels = connected_components(linked, directed=True, connection="weak")
+    return np.bincount(labels).max()
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0])
@@ -600,10 +601,10 @@ def test_each_point_splits_its_superoperator_once(name, overrides,
     # the verdict, the fixed point and the lifting share one block split
     calls = []
 
-    def counting(linked, _run=convergence._components):
-        calls.append(linked.shape)
-        return _run(linked)
+    def counting(rows, _run=convergence._split):
+        calls.append(rows.shape)
+        return _run(rows)
 
-    monkeypatch.setattr(convergence, "_components", counting)
+    monkeypatch.setattr(convergence, "_split", counting)
     run_scenario(parse_config(bundled_raw(name, **overrides)))
     assert len(calls) == 1
