@@ -32,6 +32,9 @@ from .tolerances import (
 # precision and are dropped from the Kraus dilation.
 _KRAUS_WEIGHT_CUTOFF = 1e-12
 
+# How a collision with several baths runs (see :func:`joint_unitary`).
+_MODES = ("simultaneous", "alternating")
+
 
 def vectorize(rho):
     """Row-major stacking of a square matrix into a vector."""
@@ -371,10 +374,8 @@ def joint_unitary(system_hamiltonian, interaction_terms, t,
             )
     if not t >= 0:
         raise ValueError(f"interaction time must be non-negative, got {t}")
-    if mode not in ("simultaneous", "alternating"):
-        raise ValueError(
-            f"mode must be 'simultaneous' or 'alternating', got {mode!r}"
-        )
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if not terms:
         return qmath.unitary_from_hamiltonian(h_sys, t)
     h_free = np.kron(h_sys, np.eye(joint_dim // d))

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
+from .collision import _MODES
 from .errors import ConfigError
-from .network import CouplingGraph, NetworkSpec, chain_graph
+from .network import _MODELS, CouplingGraph, NetworkSpec, chain_graph
 from .tolerances import (
     DEFAULT_ITERATE_TOL,
     DEFAULT_MAX_ITER,
@@ -53,7 +54,7 @@ class SweepSpec:
     """Parameter path plus the values to substitute at it."""
 
     param: str
-    values: tuple[float, ...]
+    values: tuple[float | int, ...]
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,19 @@ def _is_index(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _number(where, value, low=-math.inf, high=math.inf):
+    """``value`` as a float, refused (naming ``where``) unless a finite
+    number in ``[low, high]``: the check of every real a config gives.
+    """
+    if not _is_finite_number(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(
+            f"{where}: must lie in [{low}, {high}], got {value!r}"
+        )
+    return float(value)
+
+
 def _integer(where, value, least):
     """``value`` as an int, refused (naming ``where``) unless an integer >=
     ``least``: the check of every integer a config gives or a run overrides.
@@ -149,20 +163,35 @@ def _within_joint_limit(local_dim, factors):
             and local_dim ** factors <= JOINT_DIM_LIMIT)
 
 
-def _require(raw, key, kind, where="config"):
+def _one_of(where, value, choices):
+    """``value``, refused (naming ``where``) unless one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{where}: expected one of {choices}, got {value!r}")
+    return value
+
+
+def _form(where, spec, forms):
+    """``(form, value)`` of a one-key object ``{form: value}``, refused
+    (naming ``where``) unless ``form`` is one of ``forms``.
+    """
+    if isinstance(spec, dict) and len(spec) == 1:
+        (form, value), = spec.items()
+        if form in forms:
+            return form, value
+    raise ConfigError(
+        f"{where}: expected an object with one key of {forms}, got {spec!r}"
+    )
+
+
+def _require(raw, key, kind=object, where="config"):
+    """``raw[key]``, refused (naming ``where``) if missing or not a ``kind``.
+
+    A number or an integer is then checked by :func:`_number` or
+    :func:`_integer`.
+    """
     if key not in raw:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = raw[key]
-    if kind is float:
-        if not _is_finite_number(value):
-            raise ConfigError(
-                f"{where}.{key}: expected a finite number, got {value!r}"
-            )
-        return float(value)
-    if kind is int:
-        if not _is_index(value):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
     if not isinstance(value, kind):
         raise ConfigError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
@@ -199,39 +228,28 @@ def parse_matrix(entries, where):
 
 def parse_bath_state(spec, local_dim, where):
     """A bath-state spec (named, parametric, or explicit) into a matrix."""
-    if spec == "zero":
-        return qmath.projector(qmath.basis_ket(local_dim, 0))
-    if spec in ("plus", "minus"):
+    if not isinstance(spec, dict):
+        name = _one_of(where, spec, ("zero", "plus", "minus"))
+        if name == "zero":
+            return qmath.projector(qmath.basis_ket(local_dim, 0))
         if local_dim != 2:
-            raise ConfigError(f"{where}: {spec!r} requires local_dim 2")
-        sign = 1.0 if spec == "plus" else -1.0
+            raise ConfigError(f"{where}: {name!r} requires local_dim 2")
+        sign = 1.0 if name == "plus" else -1.0
         return qmath.projector(np.array([1.0, sign]) / np.sqrt(2.0))
-    if isinstance(spec, str):
-        raise ConfigError(f"{where}: unknown named state {spec!r}")
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(
-            f"{where}: expected a named state or a single-key object, "
-            f"got {spec!r}"
-        )
-    (kind, value), = spec.items()
-    if kind == "diag":
+    form, value = _form(where, spec, ("diag", "mix", "matrix"))
+    if form == "diag":
         if local_dim != 2:
             raise ConfigError(f"{where}.diag: requires local_dim 2")
-        if not _is_finite_number(value) or not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{where}.diag: weight must be in [0, 1], got {value!r}")
-        return np.diag([float(value), 1.0 - float(value)]).astype(complex)
-    if kind == "mix":
+        p = _number(f"{where}.diag", value, 0.0, 1.0)
+        return np.diag([p, 1.0 - p]).astype(complex)
+    if form == "mix":
         if not isinstance(value, list) or len(value) != 3:
             raise ConfigError(f"{where}.mix: expected [weight, state, state]")
-        p = value[0]
-        if not _is_finite_number(p) or not 0.0 <= p <= 1.0:
-            raise ConfigError(f"{where}.mix: weight must be in [0, 1], got {p!r}")
+        p = _number(f"{where}.mix[0]", value[0], 0.0, 1.0)
         first = parse_bath_state(value[1], local_dim, f"{where}.mix[1]")
         second = parse_bath_state(value[2], local_dim, f"{where}.mix[2]")
-        return float(p) * first + (1.0 - float(p)) * second
-    if kind == "matrix":
-        return _parse_density(value, local_dim, "local_dim", f"{where}.matrix")
-    raise ConfigError(f"{where}: unknown state form {kind!r}")
+        return p * first + (1.0 - p) * second
+    return _parse_density(value, local_dim, "local_dim", f"{where}.matrix")
 
 
 def _parse_density(entries, dim, dim_name, where):
@@ -248,73 +266,57 @@ def _parse_density(entries, dim, dim_name, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_couplings(raw, sites):
-    spec = _require(raw, "couplings", dict)
-    if len(spec) != 1:
-        raise ConfigError("couplings: expected exactly one of 'chain' or 'edges'")
-    (kind, value), = spec.items()
-    if kind == "chain":
-        if not _is_finite_number(value):
-            raise ConfigError(f"couplings.chain: expected a coupling, got {value!r}")
-        return chain_graph(sites, float(value))
-    if kind == "edges":
-        if not isinstance(value, list):
-            raise ConfigError("couplings.edges: expected a list of [a, b, J]")
-        edges = []
-        for i, edge in enumerate(value):
-            if (not isinstance(edge, list) or len(edge) != 3
-                    or not all(_is_index(x) for x in edge[:2])
-                    or not _is_finite_number(edge[2])):
-                raise ConfigError(
-                    f"couplings.edges[{i}]: expected [site, site, coupling] "
-                    f"with integer sites, got {edge!r}"
-                )
-            edges.append((edge[0], edge[1], float(edge[2])))
-        try:
-            return CouplingGraph(sites, tuple(edges))
-        except ValueError as exc:
-            raise ConfigError(f"couplings.edges: {exc}") from exc
-    raise ConfigError(f"couplings: unknown form {kind!r}")
+def _parse_couplings(spec, sites):
+    form, value = _form("couplings", spec, ("chain", "edges"))
+    if form == "chain":
+        return chain_graph(sites, _number("couplings.chain", value))
+    if not isinstance(value, list):
+        raise ConfigError("couplings.edges: expected a list of [a, b, J]")
+    edges = []
+    for i, edge in enumerate(value):
+        where = f"couplings.edges[{i}]"
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise ConfigError(
+                f"{where}: expected [site, site, coupling], got {edge!r}"
+            )
+        edges.append((_integer(where, edge[0], 0), _integer(where, edge[1], 0),
+                      _number(where, edge[2])))
+    try:
+        return CouplingGraph(sites, tuple(edges))
+    except ValueError as exc:
+        raise ConfigError(f"couplings.edges: {exc}") from exc
 
 
 def _parse_initial_state(spec, dim):
-    if spec in ("ground", "random"):
-        return spec
-    if isinstance(spec, dict) and len(spec) == 1:
-        (kind, value), = spec.items()
-        if kind == "random_seed":
-            return {"random_seed": _integer("initial_state.random_seed",
-                                            value, 0)}
-        if kind == "matrix":
-            return {"matrix": _parse_density(
-                value, dim, "system dimension", "initial_state.matrix"
-            )}
-    raise ConfigError(
-        f"initial_state: expected 'ground', 'random', {{'random_seed': n}} "
-        f"or {{'matrix': ...}}, got {spec!r}"
-    )
+    if not isinstance(spec, dict):
+        return _one_of("initial_state", spec, ("ground", "random"))
+    form, value = _form("initial_state", spec, ("random_seed", "matrix"))
+    if form == "random_seed":
+        return {"random_seed": _integer("initial_state.random_seed", value, 0)}
+    return {"matrix": _parse_density(value, dim, "system dimension",
+                                     "initial_state.matrix")}
 
 
 def _parse_analysis(spec, dim):
-    if spec in ("fixed_point", "spectrum", "site_populations"):
-        return spec, None
-    if isinstance(spec, dict) and len(spec) == 1 and "trajectory" in spec:
-        steps = spec["trajectory"]
-        if not _is_index(steps) or steps < 0:
+    """``(analysis, step count)``: a name from ``_ANALYSES``, or
+    ``{"trajectory": steps}``, the one analysis that takes a count.
+    """
+    if not isinstance(spec, dict):
+        analysis = _one_of("analysis", spec, _ANALYSES)
+        if analysis == "trajectory":
             raise ConfigError(
-                f"analysis.trajectory: expected a step count >= 0, got {steps!r}"
+                "analysis: trajectory takes a step count, as {'trajectory': n}"
             )
-        if (steps + 1) * dim * dim > TRAJECTORY_ENTRIES_LIMIT:
-            raise ConfigError(
-                f"analysis.trajectory: {steps} steps store {steps + 1} states "
-                f"of dimension {dim}, more than the limit of "
-                f"{TRAJECTORY_ENTRIES_LIMIT} matrix entries"
-            )
-        return "trajectory", steps
-    raise ConfigError(
-        f"analysis: expected one of {_ANALYSES} (trajectory takes a step "
-        f"count), got {spec!r}"
-    )
+        return analysis, None
+    _, steps = _form("analysis", spec, ("trajectory",))
+    steps = _integer("analysis.trajectory", steps, 0)
+    if (steps + 1) * dim * dim > TRAJECTORY_ENTRIES_LIMIT:
+        raise ConfigError(
+            f"analysis.trajectory: {steps} steps store {steps + 1} states "
+            f"of dimension {dim}, more than the limit of "
+            f"{TRAJECTORY_ENTRIES_LIMIT} matrix entries"
+        )
+    return "trajectory", steps
 
 
 def _parse_sweep(raw):
@@ -332,21 +334,23 @@ def _parse_sweep(raw):
         values = spec["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: expected a non-empty list")
-        if not all(_is_finite_number(v) for v in values):
-            raise ConfigError("sweep.values: entries must be finite numbers")
-        return SweepSpec(param, tuple(float(v) for v in values))
+        # a JSON integer stays one, so an integer field can be swept; the
+        # field it lands in checks its range
+        return SweepSpec(param, tuple(
+            v if _is_index(v) else _number(f"sweep.values[{i}]", v)
+            for i, v in enumerate(values)))
     grid = spec["linspace"]
-    if (not isinstance(grid, list) or len(grid) != 3
-            or not all(_is_finite_number(v) for v in grid)
-            or int(grid[2]) != grid[2] or grid[2] < 1):
+    if not isinstance(grid, list) or len(grid) != 3:
         raise ConfigError("sweep.linspace: expected [start, stop, count]")
-    if grid[2] > SWEEP_POINTS_LIMIT:
+    start = _number("sweep.linspace[0]", grid[0])
+    stop = _number("sweep.linspace[1]", grid[1])
+    count = _integer("sweep.linspace[2]", grid[2], 1)
+    if count > SWEEP_POINTS_LIMIT:
         raise ConfigError(
-            f"sweep.linspace: {grid[2]!r} points exceed the limit of "
+            f"sweep.linspace: {count} points exceed the limit of "
             f"{SWEEP_POINTS_LIMIT}"
         )
-    values = np.linspace(float(grid[0]), float(grid[1]), int(grid[2]))
-    return SweepSpec(param, tuple(float(v) for v in values))
+    return SweepSpec(param, tuple(np.linspace(start, stop, count).tolist()))
 
 
 _KNOWN_KEYS = {
@@ -364,15 +368,9 @@ def parse_config(raw):
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
 
-    model = _require(raw, "model", str)
-    if model not in ("swap", "xxz"):
-        raise ConfigError(f"model: expected 'swap' or 'xxz', got {model!r}")
-    sites = _require(raw, "sites", int)
-    if sites < 1:
-        raise ConfigError(f"sites: must be >= 1, got {sites}")
-    local_dim = raw.get("local_dim", 2)
-    if not isinstance(local_dim, int) or local_dim < 2:
-        raise ConfigError(f"local_dim: must be an integer >= 2, got {local_dim!r}")
+    model = _one_of("model", _require(raw, "model"), _MODELS)
+    sites = _integer("sites", _require(raw, "sites"), 1)
+    local_dim = _integer("local_dim", raw.get("local_dim", 2), 2)
     if not _within_joint_limit(local_dim, sites):
         raise ConfigError(
             f"sites: {sites} sites of local_dim {local_dim} exceed the joint "
@@ -380,16 +378,14 @@ def parse_config(raw):
         )
     delta = None
     if model == "xxz":
-        delta = _require(raw, "delta", float)
+        delta = _number("config.delta", _require(raw, "delta"))
         if local_dim != 2:
             raise ConfigError("local_dim: xxz model requires 2")
     elif "delta" in raw:
         raise ConfigError("delta: only meaningful for the xxz model")
 
-    graph = _parse_couplings(raw, sites)
-    t = _require(raw, "t", float)
-    if t < 0:
-        raise ConfigError(f"t: must be non-negative, got {t}")
+    graph = _parse_couplings(_require(raw, "couplings"), sites)
+    t = _number("config.t", _require(raw, "t"), 0.0)
 
     baths_raw = _require(raw, "baths", list)
     if not _within_joint_limit(local_dim, sites + len(baths_raw)):
@@ -403,27 +399,22 @@ def parse_config(raw):
         where = f"baths[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
-        site = _require(entry, "site", int, where)
-        if not 0 <= site < sites:
+        site = _integer(f"{where}.site", _require(entry, "site", where=where), 0)
+        if site >= sites:
             raise ConfigError(f"{where}.site: {site} out of range for {sites} sites")
         if site in seen_sites:
             raise ConfigError(f"{where}.site: more than one bath at site {site}")
         seen_sites.add(site)
-        if "state" not in entry:
-            raise ConfigError(f"{where}: missing required field 'state'")
-        state = parse_bath_state(entry["state"], local_dim, f"{where}.state")
+        state = parse_bath_state(_require(entry, "state", where=where),
+                                 local_dim, f"{where}.state")
         extra = set(entry) - {"site", "state"}
         if extra:
             raise ConfigError(f"{where}: unknown fields {sorted(extra)}")
         baths.append(BathSpec(site=site, state=state))
 
-    if "initial_state" not in raw:
-        raise ConfigError("config: missing required field 'initial_state'")
     dim = local_dim ** sites
-    initial_state = _parse_initial_state(raw["initial_state"], dim)
-    if "analysis" not in raw:
-        raise ConfigError("config: missing required field 'analysis'")
-    analysis, analysis_arg = _parse_analysis(raw["analysis"], dim)
+    initial_state = _parse_initial_state(_require(raw, "initial_state"), dim)
+    analysis, analysis_arg = _parse_analysis(_require(raw, "analysis"), dim)
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -438,17 +429,10 @@ def parse_config(raw):
     peripheral_tol = _tolerance(
         "peripheral_tol", tolerances.get("peripheral_tol", PERIPHERAL_ATOL))
 
-    two_bath_mode = raw.get("two_bath_mode", "simultaneous")
-    if two_bath_mode not in ("simultaneous", "alternating"):
-        raise ConfigError(
-            f"two_bath_mode: expected 'simultaneous' or 'alternating', "
-            f"got {two_bath_mode!r}"
-        )
-    bath_report = raw.get("bath_report", "input")
-    if bath_report not in ("input", "post_collision"):
-        raise ConfigError(
-            f"bath_report: expected 'input' or 'post_collision', got {bath_report!r}"
-        )
+    two_bath_mode = _one_of(
+        "two_bath_mode", raw.get("two_bath_mode", "simultaneous"), _MODES)
+    bath_report = _one_of("bath_report", raw.get("bath_report", "input"),
+                          ("input", "post_collision"))
 
     return ScenarioConfig(
         model=model, sites=sites, local_dim=local_dim, delta=delta,

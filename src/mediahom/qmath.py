@@ -289,7 +289,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
             f"{tol.ENTROPY_CLIP_LIMIT}; spectrum is too far from [0, 1]"
         )
     nz = clipped[clipped > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    # + 0.0 turns the -0.0 of a pure state into 0.0 and moves no other value
+    return float(-(nz * np.log2(nz)).sum() + 0.0)
 
 
 def concurrence(rho: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -104,6 +105,24 @@ def test_sweep_subcommand(tmp_path):
     assert len(body) == 3
     assert body[1].split(",")[0] == "0.6"
     assert body[2].split(",")[0] == "0.9"
+
+
+def test_sweep_over_network_size(tmp_path):
+    # an integer field swept point by point: with the bath at the end site
+    # of a swap chain every site relaxes to the bath state, so the system
+    # entropy is `sites` times the bath's
+    raw = json.loads((CONFIGS / "swap_chain_homogenization.json").read_text())
+    raw["baths"][0]["site"] = 0
+    raw["sweep"] = {"param": "sites", "values": [2, 3]}
+    cfg = tmp_path / "sites.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_body(out)))
+    assert [r["sites"] for r in rows] == ["2", "3"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    for row, sites in zip(rows, (2, 3)):
+        assert abs(float(row["entropy_ratio"]) - sites) < 1e-6
 
 
 def test_sweep_without_section_fails(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,15 @@ def test_sweep_values_and_linspace():
             parse_config(base_raw(sweep=bad))
 
 
+def test_sweep_values_keep_integers():
+    cfg = parse_config(base_raw(sweep={"param": "sites", "values": [2, 3.5]}))
+    assert cfg.sweep.values == (2, 3.5)
+    assert [type(v) for v in cfg.sweep.values] == [int, float]
+    # a linspace count is an integer field like any other
+    with pytest.raises(ConfigError, match=r"^sweep.linspace\[2\]: "):
+        parse_config(base_raw(sweep={"param": "t", "linspace": [0, 1, 5.0]}))
+
+
 def test_set_by_path_substitution():
     raw = base_raw(sweep={"param": "t", "values": [0.1]})
     updated = set_by_path(raw, "t", 0.9)
@@ -355,6 +365,8 @@ def test_any_json_value_parses_or_raises_config_error(document, path, value):
     for raw in (document, set_by_path(FULL_RAW, path, value)):
         try:
             cfg = parse_config(json.loads(json.dumps(raw)))
-        except ConfigError:
+        except ConfigError as exc:
+            # the message starts with the field it refuses
+            assert re.match(r"^[A-Za-z_][\w.\[\]]*: ", str(exc)), str(exc)
             continue
         assert isinstance(cfg, config.ScenarioConfig)

@@ -541,6 +541,20 @@ def test_split_tolerance_follows_the_largest_entry():
     assert covered == [[0], [1], [2], [3]]
 
 
+def test_split_pairs_a_block_only_with_a_twin_of_its_size():
+    # the swap maps block {1} onto index 2 of the larger block {2, 3}, and
+    # S[2, 2] = conj(S[1, 1]) passes the conjugate check; {1} must stay a
+    # block of its own, or index 3 drops out of the split
+    a = 0.3 + 0.2j
+    matrix = np.diag([1.0, a, a.conjugate(), 0.5])
+    matrix[2, 3] = matrix[3, 2] = 0.1
+    split = convergence._split(matrix)
+    covered = sorted(i for block in split for idx in (block.idx, block.mirror)
+                     if idx is not None for i in idx.tolist())
+    assert covered == [0, 1, 2, 3]
+    assert_same_multiset(split_vals(split), np.linalg.eigvals(matrix))
+
+
 def test_split_holds_no_n_by_n_array():
     # conjugation by a diagonal unitary has a diagonal S, so each entry
     # (i, j) of a d = 32 state is a block, kept once with its twin (j, i)

@@ -213,6 +213,13 @@ def test_entropy_values():
                       atol=1e-12)
 
 
+def test_pure_state_entropy_is_positive_zero():
+    # -0.0 would print as "-0" in a CSV cell
+    for rho in (qmath.projector([1, 0]), np.diag([0.0, 1.0, 0.0])):
+        entropy = qmath.von_neumann_entropy(rho)
+        assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
+
+
 def test_entropy_additive_on_products(rng):
     rho = qmath.random_density(2, rng)
     sigma = qmath.random_density(3, rng)
