@@ -32,12 +32,6 @@ def _build_parser():
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for random elements; overrides the config")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="iteration cap override")
-        p.add_argument("--tol", type=float, default=None,
-                       help="iteration residual tolerance override")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers (default: 1)")
@@ -53,13 +47,6 @@ def _build_parser():
     return parser
 
 
-def _emit(table, out):
-    if out is None:
-        emit_csv(table, sys.stdout)
-    else:
-        emit_csv(table, out)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -68,16 +55,13 @@ def main(argv=None):
             print(f"ok: {args.config} (digest {cfg.digest})")
             return 0
         if args.command == "run":
-            table = run_scenario(cfg, seed=args.seed, tol=args.tol,
-                                 max_iter=args.max_iter)
+            table = run_scenario(cfg)
         elif args.command == "spectrum":
-            cfg = replace(cfg, analysis="spectrum", analysis_arg=None)
-            table = run_scenario(cfg, seed=args.seed, tol=args.tol,
-                                 max_iter=args.max_iter)
+            table = run_scenario(
+                replace(cfg, analysis="spectrum", analysis_arg=None))
         else:
-            table = sweep(cfg, jobs=args.jobs, seed=args.seed, tol=args.tol,
-                          max_iter=args.max_iter)
-        _emit(table, args.out)
+            table = sweep(cfg, jobs=args.jobs)
+        emit_csv(table, sys.stdout if args.out is None else args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

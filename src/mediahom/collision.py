@@ -14,7 +14,7 @@ this choice.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,29 +71,24 @@ class ControllerSequence:
     """Per-collision ancilla preparations for an imperfect controller.
 
     Step ``l`` prepares ``p_l * base_state + (1 - p_l) * perturbation_l``.
-    All weights must satisfy ``1 >= p_l >= p_min > 0``; ``p_min`` defaults
-    to the smallest weight present.
+    Every weight must lie in ``(0, 1]``; ``p_min`` is the smallest weight
+    (1 for no steps).
     """
 
     base_state: np.ndarray
     steps: tuple[tuple[float, np.ndarray], ...]
-    p_min: float | None = None
+    p_min: float = field(init=False)
 
     def __post_init__(self):
         base = qmath.ensure_density(self.base_state)
-        floor = self.p_min if self.p_min is not None else min(
-            (p for p, _ in self.steps), default=1.0
-        )
-        if not floor > 0.0:
-            raise ValueError(f"p_min must be positive, got {floor}")
-        object.__setattr__(self, "p_min", float(floor))
         weights = self._weights()
-        outside = np.flatnonzero(~((floor <= weights) & (weights <= 1.0)))
+        outside = np.flatnonzero(~((0.0 < weights) & (weights <= 1.0)))
         if outside.size:
             idx = int(outside[0])
             raise ValueError(
-                f"step {idx}: weight {self.steps[idx][0]} outside [{floor}, 1]"
+                f"step {idx}: weight {self.steps[idx][0]} outside (0, 1]"
             )
+        object.__setattr__(self, "p_min", float(weights.min(initial=1.0)))
         for idx, (_, state) in enumerate(self.steps):
             if np.shape(state) != base.shape:
                 raise ShapeError(

@@ -129,7 +129,8 @@ def _number(where, value, low=-math.inf, high=math.inf):
 
 def _integer(where, value, least):
     """``value`` as an int, refused (naming ``where``) unless an integer >=
-    ``least``: the check of every integer a config gives or a run overrides.
+    ``least``: the check of every integer a config gives, and of a sweep's
+    ``jobs``.
     """
     if not _is_index(value) or value < least:
         raise ConfigError(
@@ -139,7 +140,7 @@ def _integer(where, value, least):
 
 
 def _tolerance(key, value):
-    """``tolerances.<key>`` checked, as a config gives it or a run overrides it.
+    """``tolerances.<key>`` as a config gives it, checked.
 
     ``max_iter`` must be an integer >= 1, and the tolerances positive
     finite numbers; a boolean is neither.  Returns an int or a float.
@@ -289,7 +290,7 @@ def _parse_couplings(spec, sites):
 
 def _parse_initial_state(spec, dim):
     if not isinstance(spec, dict):
-        return _one_of("initial_state", spec, ("ground", "random"))
+        return _one_of("initial_state", spec, ("ground",))
     form, value = _form("initial_state", spec, ("random_seed", "matrix"))
     if form == "random_seed":
         return {"random_seed": _integer("initial_state.random_seed", value, 0)}

@@ -158,9 +158,14 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) via Hermitian eigendecomposition."""
+    """exp(-i h t) via Hermitian eigendecomposition.
+
+    A ``t`` so large that a phase overflows gives NaN entries, silently:
+    the unitarity check of the channel built on it refuses them.
+    """
     vals, vecs = hermitian_eig(h)
-    phases = np.exp(-1j * vals * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * vals * t)
     return (vecs * phases) @ dag(vecs)
 
 

@@ -5,9 +5,11 @@ and convergence analyses behind a single declarative config;  ``sweep``
 repeats it across a parameter grid, optionally in parallel, with rows
 always assembled in input order.  Each point runs on its own: a
 fixed-point analysis builds the channel, then its spectral report, then
-iterates the fixed point and forms the rows.  ``emit_csv`` serializes
+iterates the fixed point and forms the rows.  The config is the one
+source of a run's settings: its start state (with its random seed) and
+its tolerances, all of which its digest covers.  ``emit_csv`` serializes
 tables deterministically (12 significant digits, metadata in comment
-lines) so identical config + seed reproduces byte-identical output.
+lines) so an identical config reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import __version__, convergence, qmath
 from ._kernels import backend_name, hermitian_trace_norm
 from .collision import _bath_channel
-from .config import _integer, _tolerance, parse_config, set_by_path
+from .config import _integer, parse_config, set_by_path
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -79,20 +81,14 @@ class ResultTable:
         return [row[idx] for row in self.rows]
 
 
-def _initial_state(cfg, dim, seed=None):
+def _initial_state(cfg, dim):
     spec = cfg.initial_state
     if spec == "ground":
         return qmath.projector(qmath.basis_ket(dim, 0))
-    if isinstance(spec, dict) and "matrix" in spec:
+    if "matrix" in spec:
         return spec["matrix"]  # parsed and checked by parse_config
-    if isinstance(spec, dict):
-        seed = spec["random_seed"] if seed is None else seed
-    if seed is None:
-        raise ConfigError(
-            "initial_state: 'random' needs a seed (config random_seed "
-            "or the --seed flag)"
-        )
-    return qmath.random_density(dim, np.random.default_rng(seed))
+    return qmath.random_density(
+        dim, np.random.default_rng(spec["random_seed"]))
 
 
 def build_scenario_channel(cfg):
@@ -240,18 +236,13 @@ def _fixed_point_rows(cfg, channel, rho0):
 
 def _trajectory_rows(cfg, channel, rho0):
     states = channel.iterate(rho0, cfg.analysis_arg)
-    rows = []
-    prev = None
-    for step, state in enumerate(states):
-        residual = math.nan if prev is None else float(
-            hermitian_trace_norm(state - prev)
-        )
-        rows.append((
-            step, qmath.von_neumann_entropy(state),
-            _concurrence_12(state, cfg), residual, "ok",
-        ))
-        prev = state
-    return rows
+    residuals = [math.nan] + hermitian_trace_norm(
+        states[1:] - states[:-1]).tolist()
+    return [
+        (step, qmath.von_neumann_entropy(state), _concurrence_12(state, cfg),
+         residual, "ok")
+        for step, (state, residual) in enumerate(zip(states, residuals))
+    ]
 
 
 def _spectrum_rows(cfg, channel, rho0):
@@ -322,18 +313,17 @@ _ANALYSIS_RUNNERS = {
 }
 
 
-def _point_rows(cfg, seed):
+def _point_rows(cfg):
     """The rows of one point's configured analysis."""
     channel = build_scenario_channel(cfg)
-    rho0 = _initial_state(cfg, channel.system_dim, seed)
+    rho0 = _initial_state(cfg, channel.system_dim)
     return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
 
 
-def run_scenario(cfg, seed=None, tol=None, max_iter=None):
-    """Execute one scenario; optional arguments override config tolerances."""
-    cfg = _with_overrides(cfg, tol, max_iter, seed)
+def run_scenario(cfg):
+    """Execute one scenario, as its config gives it."""
     started = time.perf_counter()
-    rows = _point_rows(cfg, seed)
+    rows = _point_rows(cfg)
     elapsed = time.perf_counter() - started
     return ResultTable(
         columns=_ANALYSIS_COLUMNS[cfg.analysis],
@@ -348,20 +338,6 @@ def run_scenario(cfg, seed=None, tol=None, max_iter=None):
     )
 
 
-def _with_overrides(cfg, tol, max_iter, seed):
-    """``cfg`` with a run's tolerance overrides; each, and ``seed``, checked."""
-    if seed is not None:
-        _integer("seed", seed, 0)
-    if tol is None and max_iter is None:
-        return cfg
-    changes = {}
-    if tol is not None:
-        changes["iterate_tol"] = _tolerance("iterate_tol", tol)
-    if max_iter is not None:
-        changes["max_iter"] = _tolerance("max_iter", max_iter)
-    return replace(cfg, **changes)
-
-
 def _guarded(fn, *args):
     """``fn(*args)``, or a point's error row for any failure but ConfigError."""
     try:
@@ -374,17 +350,15 @@ def _guarded(fn, *args):
 
 def _sweep_chunk(args):
     """One block of rows per sweep point of a contiguous chunk, in order."""
-    raw, param, values, seed, tol, max_iter = args
+    raw, param, values = args
 
     def rows(value):
-        cfg = parse_config(set_by_path(raw, param, value))
-        return _point_rows(_with_overrides(cfg, tol, max_iter, seed), seed)
+        return _point_rows(parse_config(set_by_path(raw, param, value)))
 
     return [_guarded(rows, value) for value in values]
 
 
-def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
-          max_iter=None):
+def sweep(cfg, param=None, values=None, jobs=1):
     """Rerun a scenario across parameter values; one block of rows each.
 
     ``param``/``values`` default to the config's own sweep section.  When
@@ -403,17 +377,15 @@ def sweep(cfg, param=None, values=None, jobs=1, seed=None, tol=None,
     values = list(values)
     if not values:
         raise ConfigError("sweep.values: expected a non-empty list")
-    # The path, the substituted config and the overrides must validate
-    # before any workers start; per-point numerical failures are tolerated
-    # later, bad configs are not.
-    _with_overrides(parse_config(set_by_path(cfg.raw, param, values[0])),
-                    tol, max_iter, seed)
+    # The path and the substituted config must validate before any
+    # workers start; per-point numerical failures are tolerated later, bad
+    # configs are not.
+    parse_config(set_by_path(cfg.raw, param, values[0]))
     jobs = _integer("jobs", jobs, 1)
     started = time.perf_counter()
     workers = min(jobs, len(values))
     cuts = [len(values) * k // workers for k in range(workers + 1)]
-    tasks = [(cfg.raw, param, values[a:b], seed, tol, max_iter)
-             for a, b in zip(cuts, cuts[1:])]
+    tasks = [(cfg.raw, param, values[a:b]) for a, b in zip(cuts, cuts[1:])]
     if workers == 1:
         chunks = [_sweep_chunk(tasks[0])]
     else:

@@ -73,24 +73,54 @@ def test_run_to_stdout(tmp_path, capsys):
     assert ",ok" in out
 
 
+def run_csv(tmp_path, name, **overrides):
+    """``(digest line, body)`` of a ``run`` of the config ``overrides`` give."""
+    cfg = write_config(tmp_path, name=f"{name}.json", **overrides)
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    (digest,) = [l for l in lines if l.startswith("# config_digest: ")]
+    return digest, read_body(out)
+
+
 def test_run_seed_reproducible(tmp_path):
-    cfg = write_config(tmp_path, initial_state="random")
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["run", "--config", str(cfg), "--seed", "9",
-                 "--out", str(a)]) == 0
-    assert main(["run", "--config", str(cfg), "--seed", "9",
-                 "--out", str(b)]) == 0
-    assert read_body(a) == read_body(b)
+    seeded = {"initial_state": {"random_seed": 9}, "analysis": {"trajectory": 3}}
+    assert run_csv(tmp_path, "a", **seeded) == run_csv(tmp_path, "b", **seeded)
 
 
-def test_run_tolerance_flags(tmp_path, capsys):
-    # an unreachable tolerance under a tiny iteration cap surfaces in the
-    # status column, not as a crash
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("first,second", [
+    ({"initial_state": {"random_seed": 1}, "analysis": {"trajectory": 3}},
+     {"initial_state": {"random_seed": 2}, "analysis": {"trajectory": 3}}),
+    ({"tolerances": {"max_iter": 3}}, {"tolerances": {"max_iter": 4}}),
+], ids=["random_seed", "max_iter"])
+def test_each_run_setting_reaches_the_digest(tmp_path, first, second):
+    # the config is the one source of a run's settings, so two configs
+    # that differ in one of them differ in body and in provenance
+    digest_a, body_a = run_csv(tmp_path, "a", **first)
+    digest_b, body_b = run_csv(tmp_path, "b", **second)
+    assert body_a != body_b
+    assert digest_a != digest_b
+
+
+def test_run_tolerances_surface_no_convergence(tmp_path):
+    # an unreachable tolerance under a tiny iteration cap, both from the
+    # config's tolerances section, surfaces in the status column, not as a
+    # crash
+    cfg = write_config(tmp_path,
+                       tolerances={"iterate_tol": 1e-14, "max_iter": 3})
     out = tmp_path / "r.csv"
-    assert main(["run", "--config", str(cfg), "--tol", "1e-14",
-                 "--max-iter", "3", "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert "no convergence" in read_body(out)[1]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "spectrum"])
+@pytest.mark.parametrize("flag", ["--seed", "--tol", "--max-iter"])
+def test_run_setting_flags_are_usage_errors(tmp_path, command, flag):
+    # the seed and the tolerances are set in the config alone
+    cfg = write_config(tmp_path, sweep={"param": "t", "values": [0.5]})
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg), flag, "1"])
+    assert info.value.code == 2
 
 
 def test_sweep_subcommand(tmp_path):
@@ -139,9 +169,14 @@ def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys):
         assert main([command, "--config", str(cfg)]) == 2
         assert ("config error: initial_state.random_seed: "
                 in capsys.readouterr().err)
+
+
+def test_random_initial_state_exits_2_naming_the_field(tmp_path, capsys):
+    # a random start is {"random_seed": n}; the bare "random" had no seed
     cfg = write_config(tmp_path, initial_state="random")
-    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
-    assert "config error: seed: " in capsys.readouterr().err
+    for command in ("check", "run", "spectrum"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config error: initial_state: " in capsys.readouterr().err
 
 
 def test_sweep_jobs_below_one_exits_2(tmp_path, capsys):
@@ -255,12 +290,24 @@ def test_import_does_not_load_scipy():
 
 def test_non_finite_channel_exits_1(tmp_path):
     # a finite but huge t overflows the unitary's phases to NaN; the
-    # channel refuses it and the CLI reports a computation failure
+    # channel refuses it and the CLI reports a computation failure on one
+    # line, with no numpy warning before it
     cfg = write_config(tmp_path, t=1e308)
     proc = run_module("mediahom.cli", "run", "--config", str(cfg))
     assert proc.returncode == 1
-    assert "error: joint matrix is not unitary: defect nan" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: joint matrix is not unitary: defect nan")
+    # in a sweep the point becomes an error row, and stderr stays empty
+    cfg = write_config(tmp_path, sweep={"param": "t", "values": [0.5, 1e308]})
+    out = tmp_path / "sweep.csv"
+    proc = run_module("mediahom.cli", "sweep", "--config", str(cfg),
+                      "--out", str(out))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = list(csv.DictReader(read_body(out)))
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith(
+        "ValueError: joint matrix is not unitary: defect nan")
 
 
 def test_python_m_mediahom(tmp_path):

@@ -196,17 +196,15 @@ def test_controller_sequence_states_and_validation(rng):
     pert = qmath.random_density(2, rng)
     seq = ControllerSequence(omega, ((0.9, pert), (0.6, pert)))
     assert len(seq) == 2
-    assert seq.p_min == 0.6  # defaults to the smallest weight
+    assert seq.p_min == 0.6  # the smallest weight
     states = seq.ancilla_states()
     assert np.abs(states[0] - (0.9 * omega + 0.1 * pert)).max() < 1e-12
     assert np.abs(states[1] - (0.6 * omega + 0.4 * pert)).max() < 1e-12
 
-    with pytest.raises(ValueError):
-        ControllerSequence(omega, ((1.2, pert),))  # weight above 1
-    with pytest.raises(ValueError):
-        ControllerSequence(omega, ((0.4, pert),), p_min=0.5)  # below floor
-    with pytest.raises(ValueError):
-        ControllerSequence(omega, ((0.5, pert),), p_min=0.0)
+    assert ControllerSequence(omega, ()).p_min == 1.0
+    for weight in (1.2, 0.0, -0.4, float("nan")):  # outside (0, 1]
+        with pytest.raises(ValueError, match="^step 1: weight "):
+            ControllerSequence(omega, ((0.9, pert), (weight, pert)))
 
 
 def test_imperfect_channels_are_convex_combinations(rng):
@@ -272,9 +270,9 @@ def test_invalid_controller_step_is_named(rng):
     steps[3] = (0.9, np.eye(3) / 3)
     with pytest.raises(ShapeError, match="^step 3: "):
         ControllerSequence(ZERO, tuple(steps))
-    steps[3] = (0.2, ZERO)
-    with pytest.raises(ValueError, match="^step 3: weight 0.2"):
-        ControllerSequence(ZERO, tuple(steps), p_min=0.5)
+    steps[3] = (-0.2, ZERO)
+    with pytest.raises(ValueError, match="^step 3: weight -0.2"):
+        ControllerSequence(ZERO, tuple(steps))
 
 
 def test_joint_unitary_forms(rng):

@@ -153,6 +153,9 @@ def test_error_messages_name_the_field():
         (base_raw(tolerances={"iterate_tol": nan}), "tolerances.iterate_tol"),
         (base_raw(tolerances={"max_iter": inf}), "tolerances.max_iter"),
         (base_raw(tolerances={"max_iter": True}), "tolerances.max_iter"),
+        (base_raw(tolerances={"max_iter": nan}), "tolerances.max_iter"),
+        (base_raw(tolerances={"max_iter": 2.5}), "tolerances.max_iter"),
+        (base_raw(tolerances={"max_iter": 0}), "tolerances.max_iter"),
         (base_raw(tolerances={"peripheral_tol": nan}), "tolerances.peripheral_tol"),
         (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),
@@ -214,7 +217,9 @@ def test_analysis_forms():
 
 
 def test_initial_state_forms():
-    assert parse_config(base_raw(initial_state="random")).initial_state == "random"
+    # a random start names its seed; the bare "random" is refused
+    with pytest.raises(ConfigError, match="^initial_state: "):
+        parse_config(base_raw(initial_state="random"))
     cfg = parse_config(base_raw(initial_state={"random_seed": 7}))
     assert cfg.initial_state == {"random_seed": 7}
     # parsed against the 3-site chain's dimension 8
@@ -317,7 +322,7 @@ CONFIG_KEYS = sorted(config._KNOWN_KEYS | set(config._TOLERANCE_KEYS) | {
     "random_seed", "trajectory", "param", "values", "linspace",
 })
 CONFIG_WORDS = [
-    "swap", "xxz", "ground", "random", "zero", "plus", "minus",
+    "swap", "xxz", "ground", "zero", "plus", "minus",
     *config._ANALYSES, "simultaneous", "alternating", "input",
     "post_collision", "t", "delta", "baths.0.state.mix.0",
 ]

@@ -316,16 +316,13 @@ def test_site_populations_input_vs_post_collision():
 
 
 def test_random_initial_state_reproducible():
-    raw = swap_chain_raw(initial_state="random")
-    t1 = run_scenario(parse_config(raw), seed=11)
-    t2 = run_scenario(parse_config(raw), seed=11)
-    assert t1.rows == t2.rows
-    with pytest.raises(ConfigError):
-        run_scenario(parse_config(raw))  # random with no seed anywhere
-    # a config-level seed is enough, and the argument overrides it
-    seeded = swap_chain_raw(initial_state={"random_seed": 11})
-    t3 = run_scenario(parse_config(seeded))
-    assert t3.rows == t1.rows
+    def rows(seed):
+        raw = swap_chain_raw(initial_state={"random_seed": seed},
+                             analysis={"trajectory": 2})
+        return run_scenario(parse_config(raw)).rows
+
+    assert rows(11) == rows(11)
+    assert rows(11) != rows(12)
 
 
 def test_initial_state_matrix_dimension_checked():
@@ -335,16 +332,6 @@ def test_initial_state_matrix_dimension_checked():
     assert "initial_state.matrix" in str(info.value)
 
 
-def test_run_scenario_override_validation():
-    cfg = parse_config(swap_chain_raw())
-    for tol in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            run_scenario(cfg, tol=tol)
-    for max_iter in (0, float("nan"), float("inf"), 2.5, True):
-        with pytest.raises(ConfigError, match="tolerances.max_iter"):
-            run_scenario(cfg, max_iter=max_iter)
-
-
 def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
     cfg = parse_config(swap_chain_raw())
 
@@ -352,24 +339,20 @@ def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(scenario, "_sweep_chunk", no_points)
-    for overrides in ({"tol": float("nan")}, {"max_iter": float("nan")},
-                      {"max_iter": 2.5}):
-        with pytest.raises(ConfigError, match="tolerances"):
-            sweep(cfg, param="t", values=[0.5, 0.7], **overrides)
-    for key, value in (("seed", -1), ("seed", 1.5), ("jobs", 2.5),
-                       ("jobs", True), ("jobs", float("nan")), ("jobs", "2"),
-                       ("jobs", 0)):
-        with pytest.raises(ConfigError, match=f"^{key}: "):
-            sweep(cfg, param="t", values=[0.5, 0.7], **{key: value})
-
-
-def test_run_scenario_refuses_a_bad_seed():
-    cfg = parse_config(swap_chain_raw(initial_state="random"))
-    for seed in (-1, 1.5, True, "3"):
-        with pytest.raises(ConfigError, match="^seed: "):
-            run_scenario(cfg, seed=seed)
-    assert run_scenario(cfg, seed=np.int64(3)).rows == \
-        run_scenario(cfg, seed=3).rows
+    # a swept value is checked as if written in the config
+    seeded = parse_config(swap_chain_raw(
+        tolerances={"iterate_tol": 1e-10, "max_iter": 9},
+        initial_state={"random_seed": 3}))
+    for param, value in (("tolerances.iterate_tol", float("nan")),
+                         ("tolerances.max_iter", float("nan")),
+                         ("tolerances.max_iter", 2.5),
+                         ("initial_state.random_seed", -1),
+                         ("initial_state.random_seed", 1.5)):
+        with pytest.raises(ConfigError, match=f"^{param}: "):
+            sweep(seeded, param=param, values=[value, 5])
+    for value in (2.5, True, float("nan"), "2", 0):
+        with pytest.raises(ConfigError, match="^jobs: "):
+            sweep(cfg, param="t", values=[0.5, 0.7], jobs=value)
 
 
 def test_sweep_preserves_value_order():
