@@ -317,6 +317,15 @@ def _entries(rows, idx, buffer):
     return out
 
 
+def _on_diagonal(idx, side):
+    """Which of the superoperator indices ``idx`` are diagonal entries.
+
+    Index ``a`` is the matrix entry ``(a // side, a % side)``, so the
+    diagonal entry ``(i, i)`` is index ``i * (side + 1)``.
+    """
+    return idx % (side + 1) == 0
+
+
 def _solved_fixed_point(block, side):
     """The fixed point of ``block`` with trace 1, vectorized, by one solve.
 
@@ -331,7 +340,7 @@ def _solved_fixed_point(block, side):
     the simplicity first.  The solution is written back over the block's
     entries of a zero vector of length ``side**2``.
     """
-    trace = (block.idx % (side + 1) == 0).astype(float)
+    trace = _on_diagonal(block.idx, side).astype(float)
     p = trace.sum()
     if not p:
         raise FixedPointNumericalError(
@@ -396,7 +405,8 @@ def _validated_fixed_point(apply, vec):
         raise FixedPointNumericalError(
             "fixed-point eigenvector is traceless; cannot normalize"
         )
-    rho = candidate / trace
+    with np.errstate(invalid="ignore"):
+        rho = candidate / trace  # a NaN trace fails the PSD check below
     min_eig = float(np.min(qmath._eigvalsh(rho)))
     if not min_eig >= -FIXED_POINT_PSD_ATOL:
         raise FixedPointNumericalError(
@@ -459,34 +469,113 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     rows, apply = _operand(sop)
     split = _split(rows)
     spectra = [block.eigvals() for block in split]
+    peripheral, fixed, reason = _verdict(
+        apply, math.isqrt(rows.shape[0]), split, spectra, tol
+    )
     mods = np.sort(np.abs(np.concatenate(spectra)))[::-1]
-    peripheral = int(np.count_nonzero(mods > 1.0 - tol))
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
-    if peripheral == 0:
-        reason = ("no eigenvalue reaches the unit circle; the matrix is not "
-                  "a trace-preserving channel")
-    elif peripheral > 1:
-        reason = (f"{peripheral} eigenvalues within {tol:.0e} of the unit "
-                  "circle; iterates do not forget the initial state")
-    else:
-        try:
-            rho, residual = _extract_fixed_point(
-                apply, math.isqrt(rows.shape[0]), split, spectra, tol
-            )
-        except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
-            reason = ("unique peripheral eigenvalue but fixed-point "
-                      f"extraction failed: {exc}")
-        else:
-            return ConvergenceReport(
-                relaxing=True,
-                reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
-                fixed_point=rho, spectral_gap=gap, peripheral_count=1,
-                residual=residual, _blocks=split,
-            )
+    if fixed is not None:
+        rho, residual = fixed
+        return ConvergenceReport(
+            relaxing=True,
+            reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
+            fixed_point=rho, spectral_gap=gap, peripheral_count=1,
+            residual=residual, _blocks=split,
+        )
     return ConvergenceReport(
         relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
         peripheral_count=peripheral, residual=float("inf"), _blocks=split,
     )
+
+
+def _verdict(apply, side, split, spectra, tol):
+    """``(peripheral_count, fixed, reason)`` from the eigenvalues of a split.
+
+    ``spectra[k]`` holds the eigenvalues of ``split[k]``; a block proven
+    to lie inside the circle of radius ``1 - tol`` may hold none of them,
+    since only the eigenvalues of modulus above ``1 - tol`` are read.
+    ``apply`` and ``side`` are those of :func:`_validated_fixed_point`.
+    ``fixed`` is the pair ``(rho, residual)`` of :func:`_extract_fixed_point`
+    when the channel relaxes, with ``reason`` None; otherwise ``fixed`` is
+    None and ``reason`` says why.
+    """
+    peripheral = sum(int(np.count_nonzero(np.abs(vals) > 1.0 - tol))
+                     for vals in spectra)
+    if peripheral == 0:
+        return peripheral, None, (
+            "no eigenvalue reaches the unit circle; the matrix is not a "
+            "trace-preserving channel")
+    if peripheral > 1:
+        return peripheral, None, (
+            f"{peripheral} eigenvalues within {tol:.0e} of the unit circle; "
+            "iterates do not forget the initial state")
+    try:
+        fixed = _extract_fixed_point(apply, side, split, spectra, tol)
+    except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
+        return peripheral, None, (
+            "unique peripheral eigenvalue but fixed-point extraction failed: "
+            f"{exc}")
+    return peripheral, fixed, None
+
+
+# The most squarings :func:`_inside` tries before a block goes to eigvals.
+# LAPACK's eigenvalues-only eig costs about 10 n^3 real flops on a real
+# n x n block (40 n^3 on a complex one) and a squaring 2 n^3 (8 n^3), so
+# the certificate never spends more than the eigvals it spares.
+_CERTIFICATE_SQUARINGS = 5
+
+
+def _inside(matrix, radius):
+    """Is every eigenvalue of ``matrix`` proven of modulus below ``radius``?
+
+    By Gelfand's formula ``rho(B)^k <= ||B^k||_F`` for the spectral radius
+    ``rho(B)``, so ``||B^(2^j)||_F < radius^(2^j)`` for some ``j`` up to
+    ``_CERTIFICATE_SQUARINGS`` proves ``rho(B) < radius``.  False means
+    only that no power gave the proof.  A NaN or infinite entry, or a power
+    that overflows, fails every comparison.  The powers are squared into
+    two buffers in turn, so at most two arrays of the matrix's size are
+    allocated.
+    """
+    if not radius > 0:
+        return False
+    power = matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(_CERTIFICATE_SQUARINGS + 1):
+            if j == 1:
+                buffers = np.empty_like(matrix), np.empty_like(matrix)
+            if j:
+                power = np.matmul(power, power, out=buffers[j % 2])
+            # ||B^(2^j)||_F^2 against radius^(2^(j+1))
+            if np.vdot(power, power).real < radius ** (2 << j):
+                return True
+    return False
+
+
+def _certified_verdict(sop, tol=PERIPHERAL_ATOL):
+    """:func:`is_relaxing`'s ``(peripheral_count, fixed, reason)``, sparing
+    the eigenvalues of the blocks proven inside the circle of radius
+    ``1 - tol``.
+
+    Every block that holds a diagonal entry gets its eigenvalues: the
+    eigenvector of a channel's eigenvalue 1 is a Hermitian matrix of trace
+    1, so that eigenvalue lives in one of them.  Every other block first
+    tries :func:`_inside`, and gets its eigenvalues only when that fails.
+    A block it passes holds no eigenvalue that the peripheral count or the
+    choice of the fixed point reads, so the three values are those of
+    :func:`_verdict` on every eigenvalue, bit for bit; only the spectral
+    gap is not known.  ``sop`` and the errors are as in :func:`is_relaxing`.
+    """
+    rows, apply = _operand(sop)
+    split = _split(rows)
+    side = math.isqrt(rows.shape[0])
+    spectra = [
+        block.eigvals()
+        if _on_diagonal(block.idx, side).any()
+        or not _inside(block.matrix, 1.0 - tol)
+        else np.empty(0, dtype=complex)
+        for block in split
+    ]
+    return _verdict(apply, side, split, spectra, tol)
 
 
 def iterative_fixed_point(channel, rho0, tol=DEFAULT_ITERATE_TOL,

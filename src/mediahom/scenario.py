@@ -155,8 +155,16 @@ def _relaxing_report(cfg, framed, frame):
     report = convergence.is_relaxing(framed, tol=cfg.peripheral_tol)
     if frame is None or report.fixed_point is None:
         return report
-    rho = frame @ report.fixed_point @ frame.conj().T
-    return replace(report, fixed_point=(rho + rho.conj().T) / 2.0)
+    return replace(report, fixed_point=_unframed(report.fixed_point, frame))
+
+
+def _unframed(rho, frame):
+    """A state found in the frame ``W``, rotated back and made exactly
+    Hermitian; ``rho`` itself when there is no frame."""
+    if frame is None:
+        return rho
+    rho = frame @ rho @ frame.conj().T
+    return (rho + rho.conj().T) / 2.0
 
 
 def _concurrence_12(state, cfg):
@@ -264,22 +272,37 @@ def _spectrum_rows(cfg, channel, rho0):
 
 
 def _site_populations_rows(cfg, channel, rho0):
-    dims = [cfg.local_dim] * cfg.sites
-    ground = qmath.projector(qmath.basis_ket(cfg.local_dim, 0))
-    report = _relaxing_report(cfg, *_framed_channel(cfg, channel))
-    if report.fixed_point is not None:
-        state, status = report.fixed_point, "ok"
+    """The populations of the stationary state, site by site and bath by bath.
+
+    The verdict is :func:`convergence._certified_verdict`'s in the baths'
+    frame: it reads only the relaxing verdict and the fixed point, so it
+    spares the eigenvalues of blocks proven inside the unit circle, and the
+    spectral gap is not known.  A channel that does not relax reports the
+    state that the Kraus loop reaches from ``rho0``.
+    """
+    framed, frame = _framed_channel(cfg, channel)
+    _, fixed, reason = convergence._certified_verdict(framed,
+                                                      cfg.peripheral_tol)
+    if fixed is not None:
+        state, status = _unframed(fixed[0], frame), "ok"
     else:
         try:
             state, _ = convergence.iterative_fixed_point(
                 channel, rho0, tol=cfg.iterate_tol, max_iter=cfg.max_iter
             )
-            status = report.reason
+            status = reason
         except ConvergenceError as exc:
             rows = [("site", k, math.nan, str(exc)) for k in range(cfg.sites)]
             rows += [("bath", b.site, math.nan, str(exc)) for b in cfg.baths]
             return rows
+    return _population_rows(cfg, channel, state, status)
 
+
+def _population_rows(cfg, channel, state, status):
+    """One ``site`` row per site of ``state`` and one ``bath`` row per bath,
+    each with ``status``."""
+    dims = [cfg.local_dim] * cfg.sites
+    ground = qmath.projector(qmath.basis_ket(cfg.local_dim, 0))
     rows = []
     for k in range(cfg.sites):
         marginal = qmath.partial_trace(state, dims, keep=[k])

@@ -606,6 +606,110 @@ def test_iteration_count_matches_decay_rate():
     assert np.abs(rho - omega).max() < 1e-9
 
 
+def random_chain_channel(rng, family):
+    """A framed scenario channel of a random 2-4 site chain.
+
+    ``"unitary"`` chains have no bath, so their coherence blocks hold
+    eigenvalues on the unit circle; ``"weak"`` chains couple their baths
+    for ``t <= 0.05``, so every block has eigenvalues near it; ``"mixed"``
+    chains have one or two baths, coupled for longer.
+    """
+    sites = int(rng.integers(2, 5))
+    baths = []
+    if family != "unitary":
+        count = int(rng.integers(1, 3))
+        for site in rng.choice(sites, size=count, replace=False):
+            state = ({"diag": float(rng.uniform(0.05, 0.95))}
+                     if rng.random() < 0.8 else "plus")
+            baths.append({"site": int(site), "state": state})
+    t = rng.uniform(0.001, 0.05) if family == "weak" else rng.uniform(0.1, 3.0)
+    raw = {"model": "swap", "sites": sites, "couplings": {"chain": 1.0},
+           "t": float(t), "baths": baths, "initial_state": "ground",
+           "analysis": "site_populations"}
+    if rng.random() < 0.5:
+        raw.update(model="xxz", delta=float(rng.uniform(0.0, 2.0)))
+    cfg = parse_config(raw)
+    framed, _ = scenario._framed_channel(cfg, build_scenario_channel(cfg))
+    return framed
+
+
+@pytest.mark.parametrize("family", ["unitary", "weak", "mixed"])
+def test_certified_verdict_is_the_full_verdict(family, monkeypatch):
+    # the site-populations verdict spares the eigenvalues of blocks that
+    # _inside certifies; the count, the reason and the fixed point must
+    # be is_relaxing's, bit for bit, at every tolerance (1.5 leaves no
+    # radius to certify below)
+    outcomes = []
+
+    def spy(matrix, radius, _run=convergence._inside):
+        outcomes.append(_run(matrix, radius))
+        return outcomes[-1]
+
+    monkeypatch.setattr(convergence, "_inside", spy)
+    rng = np.random.default_rng(["unitary", "weak", "mixed"].index(family))
+    relaxing = 0
+    for _ in range(12):
+        channel = random_chain_channel(rng, family)
+        for tol in (1e-12, PERIPHERAL_ATOL, 1e-3, 0.5, 1.5):
+            peripheral, fixed, reason = convergence._certified_verdict(
+                channel, tol)
+            report = is_relaxing(channel, tol)
+            assert peripheral == report.peripheral_count
+            assert (fixed is not None) == report.relaxing
+            if fixed is None:
+                assert reason == report.reason
+                continue
+            relaxing += 1
+            assert reason is None
+            rho, residual = fixed
+            assert np.array_equal(rho, report.fixed_point)
+            assert residual == report.residual
+    # a unitary chain's coherence blocks keep their eigenvalues on the
+    # circle, so none is certified; with a bath coupled, some are, and the
+    # chain relaxes at some tolerance
+    assert False in outcomes
+    assert (True in outcomes) == (family != "unitary")
+    assert (relaxing > 0) == (family != "unitary")
+
+
+def test_certificate_refuses_what_it_cannot_prove():
+    small = np.full((3, 3), 0.1, dtype=complex)
+    assert convergence._inside(small, 0.5)
+    # a nilpotent block passes after one squaring, though its norm is 2
+    nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]])
+    assert convergence._inside(nilpotent, 1e-3)
+    # the bound is strict: |lambda| = 0.5 is not below 0.5, and each
+    # power of [[0.5]] is exact
+    assert not convergence._inside(np.array([[0.5]]), 0.5)
+    assert not convergence._inside(np.array([[0.5]]), 0.0)
+    assert not convergence._inside(np.array([[0.0]]), -0.5)
+    # a NaN or infinite entry, or a power that overflows, is never
+    # certified, and no warning is raised
+    with np.errstate(all="raise"):
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 1.0)):
+            matrix = small.copy()
+            matrix[1, 2] = bad
+            assert not convergence._inside(matrix, 0.99)
+        assert not convergence._inside(np.full((2, 2), 1e200), 0.99)
+
+
+def test_certificate_squares_into_two_buffers(monkeypatch):
+    # ||(I / 2)^(2^j)||_F = 8 / 2^(2^j) < 0.55^(2^j) first holds at j = 5
+    # for n = 64, as 1.1^16 < 8 < 1.1^32: the certificate squares five
+    # times, into two n x n powers, never a third
+    n = 64
+    matrix = 0.5 * np.eye(n, dtype=complex)
+    tracemalloc.start()
+    try:
+        assert convergence._inside(matrix, 0.55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes * 2 <= peak < matrix.nbytes * 3
+    monkeypatch.setattr(convergence, "_CERTIFICATE_SQUARINGS", 4)
+    assert not convergence._inside(matrix, 0.55)
+
+
 def test_iterative_fixed_point_on_constant_channel(rng):
     # one collision lands exactly on the fixed point; detection needs at
     # most one more step to see a zero residual
@@ -923,6 +1027,7 @@ def test_stacked_states_follow_the_per_state_loop(rng, dim):
     assert forgetting_metric(chans, rho1, rho2) == expected
 
 
+@pytest.mark.filterwarnings("error")
 def test_fixed_point_guards_refuse_nan():
     # a NaN coherence passes no PSD check, and a NaN superoperator no
     # residual check; neither may return a state

@@ -315,6 +315,50 @@ def test_site_populations_input_vs_post_collision():
     assert np.isclose(post_rows[("site", 0)], rows[("site", 0)], atol=1e-9)
 
 
+def test_site_populations_spare_the_coherence_blocks(monkeypatch):
+    # the verdict takes the eigenvalues of the blocks that hold a diagonal
+    # entry only: the d = 32 chain splits by coherence number into the 252
+    # block of coherence 0 and the twin pairs of coherence 1 to 5, which
+    # are certified inside the unit circle; the rows are those of
+    # is_relaxing's fixed point
+    cfg = parse_config(bundled_raw("two_bath_equilibrium"))
+    side = 2 ** cfg.sites
+    blocks, solved, certified = [], [], []
+
+    def splitting(rows, _run=convergence._split):
+        blocks.extend(_run(rows))
+        return list(blocks)
+
+    def counting(block, _run=convergence._Block.eigvals):
+        solved.append(block.idx)
+        return _run(block)
+
+    def certifying(matrix, radius, _run=convergence._inside):
+        certified.append((matrix.shape[0], _run(matrix, radius)))
+        return certified[-1][1]
+
+    monkeypatch.setattr(convergence, "_split", splitting)
+    monkeypatch.setattr(convergence._Block, "eigvals", counting)
+    monkeypatch.setattr(convergence, "_inside", certifying)
+    table = run_scenario(cfg)
+    monkeypatch.undo()
+    diagonal = [b for b in blocks if convergence._on_diagonal(b.idx, side).any()]
+    assert all(convergence._on_diagonal(idx, side).any() for idx in solved)
+    assert len(solved) == len(diagonal) == 1 and len(blocks) == 6
+    # the certificate is tried on the twins alone, and passes each
+    assert certified == [(b.idx.size, True) for b in blocks
+                         if not convergence._on_diagonal(b.idx, side).any()]
+
+    channel = build_scenario_channel(cfg)
+    report = scenario._relaxing_report(
+        cfg, *scenario._framed_channel(cfg, channel)
+    )
+    assert report.relaxing
+    assert table.rows == scenario._population_rows(
+        cfg, channel, report.fixed_point, "ok"
+    )
+
+
 def test_random_initial_state_reproducible():
     def rows(seed):
         raw = swap_chain_raw(initial_state={"random_seed": seed},
