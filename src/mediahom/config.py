@@ -26,13 +26,14 @@ import numpy as np
 
 from . import qmath
 from .collision import _MODES
-from .errors import ConfigError
+from .errors import ConfigCapacityError, ConfigError
 from .network import _MODELS, CouplingGraph, NetworkSpec, chain_graph
 from .tolerances import (
     DEFAULT_ITERATE_TOL,
     DEFAULT_MAX_ITER,
     JOINT_DIM_LIMIT,
     PERIPHERAL_ATOL,
+    SUPEROPERATOR_DIM_LIMIT,
     SWEEP_POINTS_LIMIT,
     TRAJECTORY_ENTRIES_LIMIT,
 )
@@ -162,6 +163,16 @@ def _within_joint_limit(local_dim, factors):
     """
     return (factors <= JOINT_DIM_LIMIT.bit_length()
             and local_dim ** factors <= JOINT_DIM_LIMIT)
+
+
+def _within_superoperator_limit(dim, analysis):
+    """Whether ``analysis`` can run at system dim ``dim``.
+
+    A trajectory collides the Kraus stack and needs no superoperator.  The
+    other analyses split it, which a channel refuses above system dim
+    ``SUPEROPERATOR_DIM_LIMIT`` (:class:`CapacityError`).
+    """
+    return analysis == "trajectory" or dim <= SUPEROPERATOR_DIM_LIMIT
 
 
 def _one_of(where, value, choices):
@@ -416,6 +427,12 @@ def parse_config(raw):
     dim = local_dim ** sites
     initial_state = _parse_initial_state(_require(raw, "initial_state"), dim)
     analysis, analysis_arg = _parse_analysis(_require(raw, "analysis"), dim)
+    if not _within_superoperator_limit(dim, analysis):
+        raise ConfigCapacityError(
+            f"sites: {sites} sites of local_dim {local_dim} make system dim "
+            f"{dim}; the {analysis} analysis splits the superoperator, "
+            f"refused beyond system dim {SUPEROPERATOR_DIM_LIMIT}"
+        )
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):

@@ -45,6 +45,7 @@ from .tolerances import (
     FIXED_POINT_PSD_ATOL,
     FIXED_POINT_RESIDUAL_ATOL,
     PERIPHERAL_ATOL,
+    TRACE_ATOL,
 )
 
 
@@ -491,9 +492,11 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
 def _verdict(apply, side, split, spectra, tol):
     """``(peripheral_count, fixed, reason)`` from the eigenvalues of a split.
 
-    ``spectra[k]`` holds the eigenvalues of ``split[k]``; a block proven
-    to lie inside the circle of radius ``1 - tol`` may hold none of them,
-    since only the eigenvalues of modulus above ``1 - tol`` are read.
+    ``spectra[k]`` holds the eigenvalues of ``split[k]`` of modulus above
+    ``1 - tol``, the only ones read; it may hold the others too.  So a
+    block proven inside the circle of radius ``1 - tol`` may hold none, and
+    a block proven to have the simple eigenvalue 1 and no other above that
+    radius may hold ``[1.0]`` (see :func:`_certified_verdict`).
     ``apply`` and ``side`` are those of :func:`_validated_fixed_point`.
     ``fixed`` is the pair ``(rho, residual)`` of :func:`_extract_fixed_point`
     when the channel relaxes, with ``reason`` None; otherwise ``fixed`` is
@@ -551,30 +554,65 @@ def _inside(matrix, radius):
     return False
 
 
+def _deflated_inside(block, side, tol):
+    """Is eigenvalue 1 of a block with diagonal entries proven simple, and
+    every other eigenvalue proven of modulus below ``1 - tol``?
+
+    ``t`` and ``w = t / p`` are :func:`_solved_fixed_point`'s trace row and
+    its weight.  A trace-preserving block ``B`` has ``t^T B = t^T``, and
+    then ``B - w t^T`` has ``B``'s eigenvalues with one copy of 1 replaced
+    by 0 (Brauer, Duke Math. J. 19, 75, 1952).  So when ``max|t^T B -
+    t^T|`` is within ``TRACE_ATOL`` and within ``tol``, and :func:`_inside`
+    proves ``B - w t^T`` inside the circle of radius ``1 - tol``, the only
+    eigenvalue of ``B`` of modulus above ``1 - tol`` is the one at 1.
+    False means only that no proof was found; a NaN or infinite entry fails
+    a check, with no warning.
+    """
+    on = _on_diagonal(block.idx, side)
+    trace = on.astype(float)
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(trace @ block.matrix - trace).max()
+    if not defect <= min(TRACE_ATOL, tol):
+        return False
+    # w t^T is 1 / p where both coordinates are diagonal entries, else 0
+    deflated = block.matrix.copy()
+    deflated[np.ix_(on, on)] -= 1.0 / trace.sum()
+    return _inside(deflated, 1.0 - tol)
+
+
 def _certified_verdict(sop, tol=PERIPHERAL_ATOL):
     """:func:`is_relaxing`'s ``(peripheral_count, fixed, reason)``, sparing
-    the eigenvalues of the blocks proven inside the circle of radius
-    ``1 - tol``.
+    the eigenvalues of the blocks whose spectrum a certificate settles.
 
-    Every block that holds a diagonal entry gets its eigenvalues: the
-    eigenvector of a channel's eigenvalue 1 is a Hermitian matrix of trace
-    1, so that eigenvalue lives in one of them.  Every other block first
-    tries :func:`_inside`, and gets its eigenvalues only when that fails.
-    A block it passes holds no eigenvalue that the peripheral count or the
-    choice of the fixed point reads, so the three values are those of
-    :func:`_verdict` on every eigenvalue, bit for bit; only the spectral
-    gap is not known.  ``sop`` and the errors are as in :func:`is_relaxing`.
+    The eigenvector of a channel's eigenvalue 1 is a Hermitian matrix of
+    trace 1, so that eigenvalue lives in a block that holds a diagonal
+    entry.  When exactly one block holds them, it first tries
+    :func:`_deflated_inside`; a block that passes it gets the spectrum
+    ``[1.0]``.  Every block without a diagonal entry first tries
+    :func:`_inside`, and a block that passes it gets no eigenvalues.  A block whose certificate fails,
+    and every block with diagonal entries when there are two or more (each
+    may hold an eigenvalue 1, and only their eigenvalues count them
+    exactly), gets its eigenvalues.  The eigenvalue that ``eigvals`` would
+    give within ``tol`` of 1 has modulus above ``1 - tol``, and a certified
+    block holds no other eigenvalue of that modulus, so the peripheral
+    count, the block that gives the fixed point and its bordered solve are
+    those of :func:`_verdict` on every eigenvalue, bit for bit; only the
+    spectral gap is not known.  ``sop`` and the errors are as in
+    :func:`is_relaxing`.
     """
     rows, apply = _operand(sop)
     split = _split(rows)
     side = math.isqrt(rows.shape[0])
-    spectra = [
-        block.eigvals()
-        if _on_diagonal(block.idx, side).any()
-        or not _inside(block.matrix, 1.0 - tol)
-        else np.empty(0, dtype=complex)
-        for block in split
-    ]
+    populated = [_on_diagonal(block.idx, side).any() for block in split]
+    deflate = populated.count(True) == 1
+    spectra = []
+    for block, diagonal in zip(split, populated):
+        if diagonal and deflate and _deflated_inside(block, side, tol):
+            spectra.append(np.ones(1, dtype=complex))
+        elif not diagonal and _inside(block.matrix, 1.0 - tol):
+            spectra.append(np.empty(0, dtype=complex))
+        else:
+            spectra.append(block.eigvals())
     return _verdict(apply, side, split, spectra, tol)
 
 

@@ -49,3 +49,9 @@ class UndefinedRatioError(ValueError):
 
 class ConfigError(ValueError):
     """A scenario config failed validation; the message names the field."""
+
+
+class ConfigCapacityError(ConfigError, CapacityError):
+    """A config asks for an analysis beyond a capacity limit; the message
+    names the field.  ``check`` and ``run`` refuse the config, and a sweep
+    point that reaches it reports it in its status row."""

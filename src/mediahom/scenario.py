@@ -27,6 +27,7 @@ from ._kernels import backend_name, hermitian_trace_norm
 from .collision import _bath_channel
 from .config import _integer, parse_config, set_by_path
 from .errors import (
+    CapacityError,
     ConfigError,
     ConvergenceError,
     ShapeError,
@@ -362,12 +363,13 @@ def run_scenario(cfg):
 
 
 def _guarded(fn, *args):
-    """``fn(*args)``, or a point's error row for any failure but ConfigError."""
+    """``fn(*args)``, or a point's error row for any failure but a
+    ConfigError; a config beyond a capacity limit gets its row too."""
     try:
         return fn(*args)
-    except ConfigError:
-        raise
     except Exception as exc:  # per-point failures land in the status column
+        if isinstance(exc, ConfigError) and not isinstance(exc, CapacityError):
+            raise
         return [("error", f"{type(exc).__name__}: {exc}")]
 
 
@@ -388,7 +390,8 @@ def sweep(cfg, param=None, values=None, jobs=1):
     ``jobs`` exceeds 1, the values split into that many contiguous chunks
     that run in parallel, one worker each; the output rows always follow
     the input value order and do not depend on ``jobs``.  Per-point
-    failures are recorded in the status column; only config errors abort.
+    failures are recorded in the status column, a point beyond a capacity
+    limit among them; only other config errors abort.
     """
     if param is None or values is None:
         if cfg.sweep is None:
@@ -402,8 +405,12 @@ def sweep(cfg, param=None, values=None, jobs=1):
         raise ConfigError("sweep.values: expected a non-empty list")
     # The path and the substituted config must validate before any
     # workers start; per-point numerical failures are tolerated later, bad
-    # configs are not.
-    parse_config(set_by_path(cfg.raw, param, values[0]))
+    # configs are not.  A point beyond a capacity limit is no bad config:
+    # its row says so.
+    try:
+        parse_config(set_by_path(cfg.raw, param, values[0]))
+    except CapacityError:
+        pass
     jobs = _integer("jobs", jobs, 1)
     started = time.perf_counter()
     workers = min(jobs, len(values))

@@ -318,12 +318,53 @@ def test_python_m_mediahom(tmp_path):
 
 
 def test_computation_failure_exits_1(tmp_path, capsys):
-    # 7 sites exceed the dense-superoperator capacity guard
+    # a 7-site trajectory config is valid, but the spectrum of its
+    # channel exceeds the superoperator's runtime capacity guard
     cfg = write_config(
         tmp_path, sites=7, baths=[{"site": 6, "state": {"diag": 0.7}}],
+        analysis={"trajectory": 1},
     )
     assert main(["spectrum", "--config", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+SEVEN_SITES = {"sites": 7, "baths": [{"site": 6, "state": {"diag": 0.7}}]}
+
+
+@pytest.mark.parametrize("analysis",
+                         ["fixed_point", "spectrum", "site_populations"])
+def test_config_beyond_superoperator_limit_exits_2(tmp_path, capsys, analysis):
+    # check refuses what run cannot start: these analyses split the
+    # superoperator, which is refused beyond system dim 64
+    cfg = write_config(tmp_path, analysis=analysis, **SEVEN_SITES)
+    for command in ("check", "run", "spectrum"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sites: 7 sites of local_dim 2")
+
+
+def test_trajectory_beyond_superoperator_limit_runs(tmp_path):
+    # a trajectory collides the Kraus stack and needs no superoperator
+    cfg = write_config(tmp_path, analysis={"trajectory": 2}, **SEVEN_SITES)
+    out = tmp_path / "trajectory.csv"
+    assert main(["check", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_body(out)))
+    assert [r["status"] for r in rows] == ["ok"] * 3
+
+
+def test_sweep_beyond_superoperator_limit_gives_a_status_row(tmp_path):
+    # a point beyond the limit is reported in its row, first or not
+    cfg = write_config(tmp_path, baths=[{"site": 2, "state": {"diag": 0.7}}],
+                       sweep={"param": "sites", "values": [7, 3, 7]})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_body(out)))
+    assert [r["sites"] for r in rows] == ["7", "3", "7"]
+    assert rows[1]["status"] == "ok"
+    for row in (rows[0], rows[2]):
+        assert row["status"].startswith(
+            "ConfigCapacityError: sites: 7 sites of local_dim 2")
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

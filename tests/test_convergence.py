@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -639,13 +640,18 @@ def test_certified_verdict_is_the_full_verdict(family, monkeypatch):
     # _inside certifies; the count, the reason and the fixed point must
     # be is_relaxing's, bit for bit, at every tolerance (1.5 leaves no
     # radius to certify below)
-    outcomes = []
+    outcomes, deflated = [], []
 
     def spy(matrix, radius, _run=convergence._inside):
         outcomes.append(_run(matrix, radius))
         return outcomes[-1]
 
+    def deflating(block, side, tol, _run=convergence._deflated_inside):
+        deflated.append(_run(block, side, tol))
+        return deflated[-1]
+
     monkeypatch.setattr(convergence, "_inside", spy)
+    monkeypatch.setattr(convergence, "_deflated_inside", deflating)
     rng = np.random.default_rng(["unitary", "weak", "mixed"].index(family))
     relaxing = 0
     for _ in range(12):
@@ -670,6 +676,110 @@ def test_certified_verdict_is_the_full_verdict(family, monkeypatch):
     assert False in outcomes
     assert (True in outcomes) == (family != "unitary")
     assert (relaxing > 0) == (family != "unitary")
+    # the deflated certificate runs only where one block holds the
+    # diagonal entries, which no bath-free chain has; it fails on every
+    # weak chain, whose eigenvalues crowd the circle, and passes on some
+    # mixed ones
+    assert (deflated == []) == (family == "unitary")
+    assert (False in deflated) == (family != "unitary")
+    assert (True in deflated) == (family == "mixed")
+
+
+def certified_against_full(sop, tol, taken):
+    """``_certified_verdict``'s reason, and the blocks whose eigenvalues it
+    took, once its count, reason and fixed point are found to be
+    ``is_relaxing``'s, bit for bit.  ``taken`` is an :func:`eigvals_spy`
+    list."""
+    start = len(taken)
+    peripheral, fixed, reason = convergence._certified_verdict(sop, tol)
+    solved = taken[start:]
+    report = is_relaxing(sop, tol)
+    assert peripheral == report.peripheral_count
+    assert reason == (None if report.relaxing else report.reason)
+    assert (fixed is None) == (report.fixed_point is None)
+    if fixed is not None:
+        assert np.array_equal(fixed[0], report.fixed_point)
+        assert fixed[1] == report.residual
+    return reason, solved
+
+
+def eigvals_spy(monkeypatch):
+    """The blocks whose eigenvalues are taken, appended as they are."""
+    taken = []
+
+    def counting(block, _run=convergence._Block.eigvals):
+        taken.append(block)
+        return _run(block)
+
+    monkeypatch.setattr(convergence._Block, "eigvals", counting)
+    return taken
+
+
+def population_blocks(split, side):
+    return [b for b in split if convergence._on_diagonal(b.idx, side).any()]
+
+
+def test_deflated_certificate_refuses_a_map_that_loses_trace(monkeypatch):
+    # scaled below 1, the map's trace row is no left eigenvector, so its
+    # one population block falls back to eigvals; a defect above the
+    # peripheral tolerance falls back too, since eigenvalue 1 - 1e-11 is
+    # not within 1e-12 of the circle
+    sop = scenario_sop(**BLOCK_CASES["xxz_two_diagonal_baths"][0])
+    side = sop.dim
+    (population,) = population_blocks(convergence._split(sop.matrix), side)
+    taken = eigvals_spy(monkeypatch)
+    assert certified_against_full(sop, PERIPHERAL_ATOL, taken) == (None, [])
+    for scale, tol in ((0.999, PERIPHERAL_ATOL), (1.0 - 1e-11, 1e-12)):
+        scaled = Superoperator(dim=side, matrix=scale * sop.matrix)
+        reason, solved = certified_against_full(scaled, tol, taken)
+        assert reason.startswith("no eigenvalue reaches the unit circle")
+        assert [b.idx.tolist() for b in solved] == [population.idx.tolist()]
+
+
+def test_several_population_blocks_keep_their_eigenvalues(monkeypatch):
+    # a bath-free chain conserves each magnetization sector's populations,
+    # so eigenvalue 1 is several times over, once in each population
+    # block: every one of them gets its eigenvalues, none is deflated
+    sop = scenario_sop(model="xxz", sites=3, delta=0.7, baths=[])
+    populations = population_blocks(convergence._split(sop.matrix), sop.dim)
+    assert len(populations) == 4
+    taken = eigvals_spy(monkeypatch)
+    tried = []
+    monkeypatch.setattr(convergence, "_deflated_inside",
+                        lambda *args: tried.append(args))
+    reason, solved = certified_against_full(sop, PERIPHERAL_ATOL, taken)
+    assert reason.endswith("iterates do not forget the initial state")
+    assert tried == []
+    assert {b.idx[0] for b in populations} <= {b.idx[0] for b in solved}
+
+
+@pytest.mark.parametrize("entry", ["traced_row", "other_row"])
+def test_deflated_certificate_falls_back_on_nan(entry, monkeypatch):
+    # a NaN in a row the trace sums fails the defect check, and one in
+    # another row the certificate; either way the population block falls
+    # back to eigvals, which refuses it as is_relaxing does, and no numpy
+    # warning is raised on the way
+    sop = scenario_sop(**BLOCK_CASES["xxz_two_diagonal_baths"][0])
+
+    def poisoned(rows, _run=convergence._split):
+        split = _run(rows)
+        (population,) = population_blocks(split, sop.dim)
+        # a real form keeps its diagonal coordinates first
+        row = 0 if entry == "traced_row" else population.idx.size - 1
+        population.matrix[row, 1] = np.nan
+        return split
+
+    monkeypatch.setattr(convergence, "_split", poisoned)
+    taken = eigvals_spy(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError) as certified:
+            convergence._certified_verdict(sop)
+        assert len(taken) == 1
+        assert convergence._on_diagonal(taken[0].idx, sop.dim).any()
+        with pytest.raises(np.linalg.LinAlgError) as full:
+            is_relaxing(sop)
+    assert str(certified.value) == str(full.value)
 
 
 def test_certificate_refuses_what_it_cannot_prove():

@@ -316,11 +316,11 @@ def test_site_populations_input_vs_post_collision():
 
 
 def test_site_populations_spare_the_coherence_blocks(monkeypatch):
-    # the verdict takes the eigenvalues of the blocks that hold a diagonal
-    # entry only: the d = 32 chain splits by coherence number into the 252
-    # block of coherence 0 and the twin pairs of coherence 1 to 5, which
-    # are certified inside the unit circle; the rows are those of
-    # is_relaxing's fixed point
+    # the verdict takes no eigenvalues: the d = 32 chain splits by
+    # coherence number into the 252 block of coherence 0 and the twin
+    # pairs of coherence 1 to 5; the twins are certified inside the unit
+    # circle, and the 252 block, with eigenvalue 1 deflated, too; the rows
+    # are those of is_relaxing's fixed point
     cfg = parse_config(bundled_raw("two_bath_equilibrium"))
     side = 2 ** cfg.sites
     blocks, solved, certified = [], [], []
@@ -343,11 +343,11 @@ def test_site_populations_spare_the_coherence_blocks(monkeypatch):
     table = run_scenario(cfg)
     monkeypatch.undo()
     diagonal = [b for b in blocks if convergence._on_diagonal(b.idx, side).any()]
-    assert all(convergence._on_diagonal(idx, side).any() for idx in solved)
-    assert len(solved) == len(diagonal) == 1 and len(blocks) == 6
-    # the certificate is tried on the twins alone, and passes each
-    assert certified == [(b.idx.size, True) for b in blocks
-                         if not convergence._on_diagonal(b.idx, side).any()]
+    assert solved == [] and len(diagonal) == 1 and len(blocks) == 6
+    # the certificate is tried on every block, the 252 one included, and
+    # passes each
+    assert certified == [(b.idx.size, True) for b in blocks]
+    assert diagonal[0].idx.size == 252
 
     channel = build_scenario_channel(cfg)
     report = scenario._relaxing_report(
@@ -455,16 +455,16 @@ def test_sweep_bad_path_aborts():
 
 
 def test_sweep_point_failures_become_status_rows():
-    # a 7-site chain overflows the dense-superoperator guard, so every
-    # point fails numerically but the sweep still returns full-width rows
+    # 7- and 8-site chains exceed the superoperator's capacity limit, so
+    # every point is refused but the sweep still returns full-width rows
     raw = {
-        "model": "swap", "sites": 7, "couplings": {"chain": 1.0}, "t": 0.5,
-        "baths": [{"site": 6, "state": {"diag": 0.7}}],
+        "model": "swap", "sites": 6, "couplings": {"chain": 1.0}, "t": 0.5,
+        "baths": [{"site": 5, "state": {"diag": 0.7}}],
         "initial_state": "ground", "analysis": "spectrum",
     }
-    table = sweep(parse_config(raw), param="t", values=[0.1, 0.2])
+    table = sweep(parse_config(raw), param="sites", values=[7, 8])
     assert len(table.rows) == 2
-    for row, value in zip(table.rows, [0.1, 0.2]):
+    for row, value in zip(table.rows, [7, 8]):
         assert row[0] == value
         assert len(row) == len(table.columns)
         assert all(math.isnan(v) for v in row[1:-1])
