@@ -1,17 +1,16 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (single scenario), ``sweep`` (parameter grid),
-``spectrum`` (superoperator eigenvalues regardless of the configured
-analysis), and ``check`` (validate a config and print its digest).  CSV
-goes to ``--out`` or stdout.  Exit codes: 0 success, 1 computation
-failure, 2 bad config or usage.
+Subcommands: ``run`` (single scenario), ``sweep`` (the config's parameter
+grid) and ``check`` (validate a config and print its digest).  The config
+alone says what a run computes; a spectrum is ``run`` on a config with
+``"analysis": "spectrum"``.  CSV goes to ``--out`` or stdout.  Exit codes:
+0 success, 1 computation failure, 2 bad config or usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -39,9 +38,6 @@ def _build_parser():
     add_common(sub.add_parser("run", help="run one scenario"))
     add_common(sub.add_parser("sweep", help="run the config's parameter sweep"),
                jobs=True)
-    add_common(sub.add_parser(
-        "spectrum", help="dump superoperator eigenvalues for the scenario"
-    ))
     check = sub.add_parser("check", help="validate a config and exit")
     check.add_argument("--config", required=True, help="JSON scenario config")
     return parser
@@ -56,9 +52,6 @@ def main(argv=None):
             return 0
         if args.command == "run":
             table = run_scenario(cfg)
-        elif args.command == "spectrum":
-            table = run_scenario(
-                replace(cfg, analysis="spectrum", analysis_arg=None))
         else:
             table = sweep(cfg, jobs=args.jobs)
         emit_csv(table, sys.stdout if args.out is None else args.out)

@@ -29,6 +29,7 @@ from .collision import _MODES
 from .errors import ConfigCapacityError, ConfigError
 from .network import _MODELS, CouplingGraph, NetworkSpec, chain_graph
 from .tolerances import (
+    BLOCK_SPLIT_RTOL,
     DEFAULT_ITERATE_TOL,
     DEFAULT_MAX_ITER,
     JOINT_DIM_LIMIT,
@@ -144,7 +145,9 @@ def _tolerance(key, value):
     """``tolerances.<key>`` as a config gives it, checked.
 
     ``max_iter`` must be an integer >= 1, and the tolerances positive
-    finite numbers; a boolean is neither.  Returns an int or a float.
+    finite numbers; a boolean is neither.  ``peripheral_tol`` lies in
+    ``[BLOCK_SPLIT_RTOL, 1)``: finer is below what the block split keeps,
+    and at 1 every eigenvalue is peripheral.  Returns an int or a float.
     """
     if key == "max_iter":
         return _integer("tolerances.max_iter", value, 1)
@@ -152,6 +155,9 @@ def _tolerance(key, value):
         raise ConfigError(
             f"tolerances.{key}: must be positive and finite, got {value!r}"
         )
+    if key == "peripheral_tol" and not BLOCK_SPLIT_RTOL <= value < 1:
+        raise ConfigError(f"tolerances.peripheral_tol: must lie in "
+                          f"[{BLOCK_SPLIT_RTOL}, 1), got {value!r}")
     return float(value)
 
 
@@ -470,7 +476,8 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # decoding fails with a ValueError, or a RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

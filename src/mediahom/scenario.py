@@ -2,12 +2,12 @@
 
 ``run_scenario`` orchestrates the network builders, channel construction,
 and convergence analyses behind a single declarative config;  ``sweep``
-repeats it across a parameter grid, optionally in parallel, with rows
-always assembled in input order.  Each point runs on its own: a
+repeats it across the config's sweep section, optionally in parallel, with
+rows always assembled in input order.  Each point runs on its own: a
 fixed-point analysis builds the channel, then its spectral report, then
 iterates the fixed point and forms the rows.  The config is the one
-source of a run's settings: its start state (with its random seed) and
-its tolerances, all of which its digest covers.  ``emit_csv`` serializes
+source of a run's analysis, sweep, start state (with its random seed) and
+tolerances, all of which its digest covers.  ``emit_csv`` serializes
 tables deterministically (12 significant digits, metadata in comment
 lines) so an identical config reproduces byte-identical output.
 """
@@ -383,26 +383,18 @@ def _sweep_chunk(args):
     return [_guarded(rows, value) for value in values]
 
 
-def sweep(cfg, param=None, values=None, jobs=1):
-    """Rerun a scenario across parameter values; one block of rows each.
+def sweep(cfg, jobs=1):
+    """Rerun a scenario across its config's sweep; one block of rows each.
 
-    ``param``/``values`` default to the config's own sweep section.  When
-    ``jobs`` exceeds 1, the values split into that many contiguous chunks
-    that run in parallel, one worker each; the output rows always follow
-    the input value order and do not depend on ``jobs``.  Per-point
+    When ``jobs`` exceeds 1, the values split into that many contiguous
+    chunks that run in parallel, one worker each; the output rows always
+    follow the input value order and do not depend on ``jobs``.  Per-point
     failures are recorded in the status column, a point beyond a capacity
     limit among them; only other config errors abort.
     """
-    if param is None or values is None:
-        if cfg.sweep is None:
-            raise ConfigError(
-                "sweep: config has no sweep section and no parameter was given"
-            )
-        param = cfg.sweep.param if param is None else param
-        values = cfg.sweep.values if values is None else values
-    values = list(values)
-    if not values:
-        raise ConfigError("sweep.values: expected a non-empty list")
+    if cfg.sweep is None:
+        raise ConfigError("sweep: config has no sweep section")
+    param, values = cfg.sweep.param, cfg.sweep.values
     # The path and the substituted config must validate before any
     # workers start; per-point numerical failures are tolerated later, bad
     # configs are not.  A point beyond a capacity limit is no bad config:

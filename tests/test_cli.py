@@ -10,6 +10,7 @@ import pytest
 
 import mediahom
 from mediahom.cli import main
+from mediahom.tolerances import BLOCK_SPLIT_RTOL
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -92,7 +93,8 @@ def test_run_seed_reproducible(tmp_path):
     ({"initial_state": {"random_seed": 1}, "analysis": {"trajectory": 3}},
      {"initial_state": {"random_seed": 2}, "analysis": {"trajectory": 3}}),
     ({"tolerances": {"max_iter": 3}}, {"tolerances": {"max_iter": 4}}),
-], ids=["random_seed", "max_iter"])
+    ({"analysis": "fixed_point"}, {"analysis": "spectrum"}),
+], ids=["random_seed", "max_iter", "analysis"])
 def test_each_run_setting_reaches_the_digest(tmp_path, first, second):
     # the config is the one source of a run's settings, so two configs
     # that differ in one of them differ in body and in provenance
@@ -113,7 +115,7 @@ def test_run_tolerances_surface_no_convergence(tmp_path):
     assert "no convergence" in read_body(out)[1]
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "spectrum"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("flag", ["--seed", "--tol", "--max-iter"])
 def test_run_setting_flags_are_usage_errors(tmp_path, command, flag):
     # the seed and the tolerances are set in the config alone
@@ -174,7 +176,7 @@ def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys):
 def test_random_initial_state_exits_2_naming_the_field(tmp_path, capsys):
     # a random start is {"random_seed": n}; the bare "random" had no seed
     cfg = write_config(tmp_path, initial_state="random")
-    for command in ("check", "run", "spectrum"):
+    for command in ("check", "run"):
         assert main([command, "--config", str(cfg)]) == 2
         assert "config error: initial_state: " in capsys.readouterr().err
 
@@ -186,10 +188,10 @@ def test_sweep_jobs_below_one_exits_2(tmp_path, capsys):
 
 
 def test_spectrum_overrides_analysis(tmp_path):
-    # config says fixed_point; the spectrum subcommand dumps eigenvalues
-    cfg = write_config(tmp_path)
+    # a spectrum is the configured analysis; no subcommand overrides it
+    cfg = write_config(tmp_path, analysis="spectrum")
     out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     body = read_body(out)
     assert body[0] == "index,eig_real,eig_imag,modulus,status"
     assert len(body) == 1 + 64
@@ -262,6 +264,47 @@ def test_check_refuses_bad_initial_matrix(tmp_path, capsys, matrix):
     assert "config error: initial_state.matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    b"[" * 100_000,
+    b'{"model": "sw\xffp"}',
+    json.dumps({"t": 0}).replace("0", "1" * 5000).encode(),
+], ids=["deep_nesting", "not_utf8", "long_integer"])
+def test_undecodable_config_exits_2(tmp_path, text):
+    # the decoder overflows the stack, meets a byte that is not UTF-8, or
+    # passes Python's limit on the digits of an integer literal
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(text)
+    proc = run_module("mediahom", "check", "--config", str(cfg))
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tol", [1e-15, 2.0])
+def test_unresolvable_peripheral_tol_exits_2(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path, tolerances={"peripheral_tol": tol})
+    for command in ("check", "run"):
+        assert main([command, "--config", str(cfg)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: tolerances.peripheral_tol: ")
+
+
+@pytest.mark.parametrize("analysis", ["fixed_point", "site_populations"])
+def test_peripheral_tol_at_the_split_tolerance_runs(tmp_path, analysis):
+    # the smallest peripheral_tol a config may give still decides the
+    # two-bath chain's trace-preserving channel
+    raw = json.loads((CONFIGS / "two_bath_equilibrium.json").read_text())
+    raw.update(analysis=analysis,
+               tolerances={"peripheral_tol": BLOCK_SPLIT_RTOL})
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "result.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_body(out)))
+    assert rows and all(row["status"] == "ok" for row in rows)
+
+
 def test_huge_trajectory_exits_2(tmp_path):
     # refused at parse time, before the states are allocated
     cfg = write_config(tmp_path, analysis={"trajectory": 10**12})
@@ -317,17 +360,6 @@ def test_python_m_mediahom(tmp_path):
     assert proc.stdout.startswith(f"ok: {cfg} (digest ")
 
 
-def test_computation_failure_exits_1(tmp_path, capsys):
-    # a 7-site trajectory config is valid, but the spectrum of its
-    # channel exceeds the superoperator's runtime capacity guard
-    cfg = write_config(
-        tmp_path, sites=7, baths=[{"site": 6, "state": {"diag": 0.7}}],
-        analysis={"trajectory": 1},
-    )
-    assert main(["spectrum", "--config", str(cfg)]) == 1
-    assert "error" in capsys.readouterr().err
-
-
 SEVEN_SITES = {"sites": 7, "baths": [{"site": 6, "state": {"diag": 0.7}}]}
 
 
@@ -337,7 +369,7 @@ def test_config_beyond_superoperator_limit_exits_2(tmp_path, capsys, analysis):
     # check refuses what run cannot start: these analyses split the
     # superoperator, which is refused beyond system dim 64
     cfg = write_config(tmp_path, analysis=analysis, **SEVEN_SITES)
-    for command in ("check", "run", "spectrum"):
+    for command in ("check", "run"):
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: sites: 7 sites of local_dim 2")
@@ -379,3 +411,9 @@ def test_usage_errors(tmp_path):
         main([])  # a subcommand is required
     with pytest.raises(SystemExit):
         main(["run"])  # --config is required
+    # the config alone says what a run computes, so no subcommand
+    # replaces its analysis
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--config", str(cfg)])
+    assert info.value.code == 2

@@ -157,6 +157,9 @@ def test_error_messages_name_the_field():
         (base_raw(tolerances={"max_iter": 2.5}), "tolerances.max_iter"),
         (base_raw(tolerances={"max_iter": 0}), "tolerances.max_iter"),
         (base_raw(tolerances={"peripheral_tol": nan}), "tolerances.peripheral_tol"),
+        # finer than the block split resolves, or every eigenvalue peripheral
+        (base_raw(tolerances={"peripheral_tol": 1e-15}), "tolerances.peripheral_tol"),
+        (base_raw(tolerances={"peripheral_tol": 1.0}), "tolerances.peripheral_tol"),
         (base_raw(sweep={"param": "t", "values": [0.1, nan]}), "sweep.values"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, nan]}), "sweep.linspace"),
         (base_raw(sweep={"param": "t", "linspace": [0, inf, 3]}), "sweep.linspace"),

@@ -377,32 +377,37 @@ def test_initial_state_matrix_dimension_checked():
 
 
 def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
-    cfg = parse_config(swap_chain_raw())
-
     def no_points(args):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(scenario, "_sweep_chunk", no_points)
-    # a swept value is checked as if written in the config
-    seeded = parse_config(swap_chain_raw(
-        tolerances={"iterate_tol": 1e-10, "max_iter": 9},
-        initial_state={"random_seed": 3}))
-    for param, value in (("tolerances.iterate_tol", float("nan")),
-                         ("tolerances.max_iter", float("nan")),
-                         ("tolerances.max_iter", 2.5),
+    seeded = dict(tolerances={"iterate_tol": 1e-10, "max_iter": 9},
+                  initial_state={"random_seed": 3})
+    # a NaN is refused when the sweep section is parsed
+    for param in ("tolerances.iterate_tol", "tolerances.max_iter"):
+        with pytest.raises(ConfigError, match=r"^sweep\.values\[0\]: "):
+            sweep(parse_config(swap_chain_raw(
+                sweep={"param": param, "values": [float("nan"), 5]},
+                **seeded)))
+    # any other swept value is checked as if written in the config
+    for param, value in (("tolerances.max_iter", 2.5),
                          ("initial_state.random_seed", -1),
                          ("initial_state.random_seed", 1.5)):
+        cfg = parse_config(swap_chain_raw(
+            sweep={"param": param, "values": [value, 5]}, **seeded))
         with pytest.raises(ConfigError, match=f"^{param}: "):
-            sweep(seeded, param=param, values=[value, 5])
+            sweep(cfg)
+    cfg = parse_config(swap_chain_raw(sweep={"param": "t",
+                                             "values": [0.5, 0.7]}))
     for value in (2.5, True, float("nan"), "2", 0):
         with pytest.raises(ConfigError, match="^jobs: "):
-            sweep(cfg, param="t", values=[0.5, 0.7], jobs=value)
+            sweep(cfg, jobs=value)
 
 
 def test_sweep_preserves_value_order():
-    cfg = parse_config(swap_chain_raw())
     values = [0.7, 0.3, 0.5]
-    table = sweep(cfg, param="t", values=values)
+    table = sweep(parse_config(swap_chain_raw(
+        sweep={"param": "t", "values": values})))
     assert table.columns[0] == "t"
     assert table.column("t") == values
     assert table.metadata["sweep_param"] == "t"
@@ -427,8 +432,8 @@ def test_sweep_defaults_from_config_section():
     table = sweep(cfg)
     assert table.column("t") == [0.2, 0.4]
     plain = parse_config(swap_chain_raw())
-    with pytest.raises(ConfigError):
-        sweep(plain)  # no sweep section and no explicit parameter
+    with pytest.raises(ConfigError, match="^sweep: config has no sweep"):
+        sweep(plain)
 
 
 @settings(max_examples=5, deadline=None, database=None, derandomize=True)
@@ -436,22 +441,25 @@ def test_sweep_defaults_from_config_section():
        values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4))
 def test_sweep_body_same_serial_and_parallel(param, values):
     # jobs=2 starts at most 2 worker processes per sweep
-    cfg = parse_config(swap_chain_raw())
+    cfg = parse_config(swap_chain_raw(
+        sweep={"param": param, "values": values}))
     bodies = []
     for jobs in (1, 2):
         buf = io.StringIO()
-        emit_csv(sweep(cfg, param=param, values=values, jobs=jobs), buf)
+        emit_csv(sweep(cfg, jobs=jobs), buf)
         bodies.append([line for line in buf.getvalue().splitlines()
                        if not line.startswith("# ")])
     assert bodies[0] == bodies[1]
 
 
 def test_sweep_bad_path_aborts():
-    cfg = parse_config(swap_chain_raw())
-    with pytest.raises(ConfigError):
-        sweep(cfg, param="nonexistent.path", values=[1.0])
-    with pytest.raises(ConfigError):
-        sweep(cfg, param="t", values=[])
+    cfg = parse_config(swap_chain_raw(
+        sweep={"param": "nonexistent.path", "values": [1.0]}))
+    with pytest.raises(ConfigError, match="^sweep.param: "):
+        sweep(cfg)
+    with pytest.raises(ConfigError, match="^sweep.values: "):
+        sweep(parse_config(swap_chain_raw(
+            sweep={"param": "t", "values": []})))
 
 
 def test_sweep_point_failures_become_status_rows():
@@ -461,8 +469,9 @@ def test_sweep_point_failures_become_status_rows():
         "model": "swap", "sites": 6, "couplings": {"chain": 1.0}, "t": 0.5,
         "baths": [{"site": 5, "state": {"diag": 0.7}}],
         "initial_state": "ground", "analysis": "spectrum",
+        "sweep": {"param": "sites", "values": [7, 8]},
     }
-    table = sweep(parse_config(raw), param="sites", values=[7, 8])
+    table = sweep(parse_config(raw))
     assert len(table.rows) == 2
     for row, value in zip(table.rows, [7, 8]):
         assert row[0] == value
@@ -555,7 +564,8 @@ SWAP_TOLERANCES = {"iterate_tol": 1e-10, "max_iter": 20000}
         "groups", "groups_jobs2"])
 def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
     # rows hold NaN, so the CSV text is compared, not the row tuples
-    table = sweep(parse_config(raw), param=param, values=values, jobs=jobs)
+    raw = dict(raw, sweep={"param": param, "values": values})
+    table = sweep(parse_config(raw), jobs=jobs)
     width = len(table.columns)
     rows = []
     for value in values:
@@ -584,7 +594,8 @@ def test_sweep_iterates_each_point_after_its_spectral_step(monkeypatch):
     # at delta = 1, 5 collisions cost less to collide than to lift, the
     # 3076 that 20000 allow do not
     values = [5, 20000, 20000, 5]
-    sweep(parse_config(raw), param="tolerances.max_iter", values=values)
+    raw["sweep"] = {"param": "tolerances.max_iter", "values": values}
+    sweep(parse_config(raw))
     assert events == [
         step for v in values for step in (
             "is_relaxing",
