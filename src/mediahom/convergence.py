@@ -59,7 +59,9 @@ class ConvergenceReport:
     relaxing, in which case ``residual`` bounds its self-consistency defect
     and ``peripheral_count`` is 1.  ``_blocks`` is the superoperator's
     block split (see :func:`_split`), which the fixed-point iteration
-    reuses.
+    reuses.  Both come from :func:`is_relaxing`; the certified route of
+    :func:`_certified_verdict` leaves ``spectral_gap`` NaN and keeps no
+    split, so its blocks are freed when it returns.
     """
 
     relaxing: bool
@@ -470,27 +472,15 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     rows, apply = _operand(sop)
     split = _split(rows)
     spectra = [block.eigvals() for block in split]
-    peripheral, fixed, reason = _verdict(
-        apply, math.isqrt(rows.shape[0]), split, spectra, tol
-    )
     mods = np.sort(np.abs(np.concatenate(spectra)))[::-1]
     gap = float(1.0 - mods[1]) if mods.size > 1 else 1.0
-    if fixed is not None:
-        rho, residual = fixed
-        return ConvergenceReport(
-            relaxing=True,
-            reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
-            fixed_point=rho, spectral_gap=gap, peripheral_count=1,
-            residual=residual, _blocks=split,
-        )
-    return ConvergenceReport(
-        relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
-        peripheral_count=peripheral, residual=float("inf"), _blocks=split,
-    )
+    report = _verdict(apply, math.isqrt(rows.shape[0]), split, spectra, tol,
+                      gap)
+    return replace(report, _blocks=split)
 
 
-def _verdict(apply, side, split, spectra, tol):
-    """``(peripheral_count, fixed, reason)`` from the eigenvalues of a split.
+def _verdict(apply, side, split, spectra, tol, gap=math.nan):
+    """The :class:`ConvergenceReport` of a split from its eigenvalues.
 
     ``spectra[k]`` holds the eigenvalues of ``split[k]`` of modulus above
     ``1 - tol``, the only ones read; it may hold the others too.  So a
@@ -498,27 +488,35 @@ def _verdict(apply, side, split, spectra, tol):
     a block proven to have the simple eigenvalue 1 and no other above that
     radius may hold ``[1.0]`` (see :func:`_certified_verdict`).
     ``apply`` and ``side`` are those of :func:`_validated_fixed_point`.
-    ``fixed`` is the pair ``(rho, residual)`` of :func:`_extract_fixed_point`
-    when the channel relaxes, with ``reason`` None; otherwise ``fixed`` is
-    None and ``reason`` says why.
+    ``gap`` is the spectral gap the report carries, NaN when the spectra
+    do not give it; the report keeps no split.
     """
     peripheral = sum(int(np.count_nonzero(np.abs(vals) > 1.0 - tol))
                      for vals in spectra)
     if peripheral == 0:
-        return peripheral, None, (
-            "no eigenvalue reaches the unit circle; the matrix is not a "
-            "trace-preserving channel")
-    if peripheral > 1:
-        return peripheral, None, (
-            f"{peripheral} eigenvalues within {tol:.0e} of the unit circle; "
-            "iterates do not forget the initial state")
-    try:
-        fixed = _extract_fixed_point(apply, side, split, spectra, tol)
-    except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
-        return peripheral, None, (
-            "unique peripheral eigenvalue but fixed-point extraction failed: "
-            f"{exc}")
-    return peripheral, fixed, None
+        reason = ("no eigenvalue reaches the unit circle; the matrix is not "
+                  "a trace-preserving channel")
+    elif peripheral > 1:
+        reason = (f"{peripheral} eigenvalues within {tol:.0e} of the unit "
+                  "circle; iterates do not forget the initial state")
+    else:
+        try:
+            rho, residual = _extract_fixed_point(apply, side, split, spectra,
+                                                 tol)
+        except (DegenerateFixedPointError, FixedPointNumericalError) as exc:
+            reason = ("unique peripheral eigenvalue but fixed-point "
+                      f"extraction failed: {exc}")
+        else:
+            return ConvergenceReport(
+                relaxing=True,
+                reason=f"unique peripheral eigenvalue; spectral gap {gap:.3e}",
+                fixed_point=rho, spectral_gap=gap, peripheral_count=1,
+                residual=residual,
+            )
+    return ConvergenceReport(
+        relaxing=False, reason=reason, fixed_point=None, spectral_gap=gap,
+        peripheral_count=peripheral, residual=math.inf,
+    )
 
 
 # The most squarings :func:`_inside` tries before a block goes to eigvals.
@@ -581,24 +579,25 @@ def _deflated_inside(block, side, tol):
 
 
 def _certified_verdict(sop, tol=PERIPHERAL_ATOL):
-    """:func:`is_relaxing`'s ``(peripheral_count, fixed, reason)``, sparing
-    the eigenvalues of the blocks whose spectrum a certificate settles.
+    """:func:`is_relaxing`'s report, sparing the eigenvalues of the blocks
+    whose spectrum a certificate settles.
 
     The eigenvector of a channel's eigenvalue 1 is a Hermitian matrix of
     trace 1, so that eigenvalue lives in a block that holds a diagonal
     entry.  When exactly one block holds them, it first tries
     :func:`_deflated_inside`; a block that passes it gets the spectrum
     ``[1.0]``.  Every block without a diagonal entry first tries
-    :func:`_inside`, and a block that passes it gets no eigenvalues.  A block whose certificate fails,
-    and every block with diagonal entries when there are two or more (each
-    may hold an eigenvalue 1, and only their eigenvalues count them
-    exactly), gets its eigenvalues.  The eigenvalue that ``eigvals`` would
-    give within ``tol`` of 1 has modulus above ``1 - tol``, and a certified
-    block holds no other eigenvalue of that modulus, so the peripheral
-    count, the block that gives the fixed point and its bordered solve are
-    those of :func:`_verdict` on every eigenvalue, bit for bit; only the
-    spectral gap is not known.  ``sop`` and the errors are as in
-    :func:`is_relaxing`.
+    :func:`_inside`, and a block that passes it gets no eigenvalues.  A
+    block whose certificate fails, and every block with diagonal entries
+    when there are two or more (each may hold an eigenvalue 1, and only
+    their eigenvalues count them exactly), gets its eigenvalues.  The
+    eigenvalue that ``eigvals`` would give within ``tol`` of 1 has modulus
+    above ``1 - tol``, and a certified block holds no other eigenvalue of
+    that modulus, so the peripheral count, the block that gives the fixed
+    point and its bordered solve are those of :func:`_verdict` on every
+    eigenvalue, bit for bit.  Only the spectral gap is not known: the
+    report's is NaN, and it keeps no split.  ``sop`` and the errors are as
+    in :func:`is_relaxing`.
     """
     rows, apply = _operand(sop)
     split = _split(rows)

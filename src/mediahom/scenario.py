@@ -18,7 +18,7 @@ import csv
 import datetime
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,23 +146,10 @@ def _framed_channel(cfg, channel):
     return channel._in_frame(frame), frame
 
 
-def _relaxing_report(cfg, framed, frame):
-    """:func:`convergence.is_relaxing` of a channel in its baths' frame.
-
-    ``(framed, frame)`` is :func:`_framed_channel`'s pair.  The fixed point
-    is found and checked in the frame, then rotated back and made exactly
-    Hermitian.
-    """
-    report = convergence.is_relaxing(framed, tol=cfg.peripheral_tol)
-    if frame is None or report.fixed_point is None:
-        return report
-    return replace(report, fixed_point=_unframed(report.fixed_point, frame))
-
-
 def _unframed(rho, frame):
     """A state found in the frame ``W``, rotated back and made exactly
-    Hermitian; ``rho`` itself when there is no frame."""
-    if frame is None:
+    Hermitian; ``rho`` itself when there is no frame or no state."""
+    if frame is None or rho is None:
         return rho
     rho = frame @ rho @ frame.conj().T
     return (rho + rho.conj().T) / 2.0
@@ -189,14 +176,14 @@ def _fixed_point_rows(cfg, channel, rho0):
     """
     rho0 = np.asarray(rho0, dtype=complex)
     framed, frame = _framed_channel(cfg, channel)
-    report = _relaxing_report(cfg, framed, frame)
+    report = convergence.is_relaxing(framed, tol=cfg.peripheral_tol)
     start = rho0 if frame is None else frame.conj().T @ rho0 @ frame
     blocks = convergence._lifting_blocks(
         report._blocks, start, len(channel._kraus), report.spectral_gap,
         cfg.iterate_tol, cfg.max_iter,
     )
     status = "ok"
-    state = report.fixed_point
+    state = _unframed(report.fixed_point, frame)
     try:
         if blocks is None:
             iterated, collisions = convergence.iterative_fixed_point(
@@ -282,16 +269,15 @@ def _site_populations_rows(cfg, channel, rho0):
     state that the Kraus loop reaches from ``rho0``.
     """
     framed, frame = _framed_channel(cfg, channel)
-    _, fixed, reason = convergence._certified_verdict(framed,
-                                                      cfg.peripheral_tol)
-    if fixed is not None:
-        state, status = _unframed(fixed[0], frame), "ok"
+    report = convergence._certified_verdict(framed, cfg.peripheral_tol)
+    if report.relaxing:
+        state, status = _unframed(report.fixed_point, frame), "ok"
     else:
         try:
             state, _ = convergence.iterative_fixed_point(
                 channel, rho0, tol=cfg.iterate_tol, max_iter=cfg.max_iter
             )
-            status = reason
+            status = report.reason
         except ConvergenceError as exc:
             rows = [("site", k, math.nan, str(exc)) for k in range(cfg.sites)]
             rows += [("bath", b.site, math.nan, str(exc)) for b in cfg.baths]
@@ -363,13 +349,10 @@ def run_scenario(cfg):
 
 
 def _guarded(fn, *args):
-    """``fn(*args)``, or a point's error row for any failure but a
-    ConfigError; a config beyond a capacity limit gets its row too."""
+    """``fn(*args)``, or a point's error row for any failure."""
     try:
         return fn(*args)
     except Exception as exc:  # per-point failures land in the status column
-        if isinstance(exc, ConfigError) and not isinstance(exc, CapacityError):
-            raise
         return [("error", f"{type(exc).__name__}: {exc}")]
 
 
@@ -390,19 +373,21 @@ def sweep(cfg, jobs=1):
     chunks that run in parallel, one worker each; the output rows always
     follow the input value order and do not depend on ``jobs``.  Per-point
     failures are recorded in the status column, a point beyond a capacity
-    limit among them; only other config errors abort.
+    limit among them; any other config error aborts before a point runs.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep: config has no sweep section")
     param, values = cfg.sweep.param, cfg.sweep.values
-    # The path and the substituted config must validate before any
+    # The path and every substituted config must validate before any
     # workers start; per-point numerical failures are tolerated later, bad
     # configs are not.  A point beyond a capacity limit is no bad config:
-    # its row says so.
-    try:
-        parse_config(set_by_path(cfg.raw, param, values[0]))
-    except CapacityError:
-        pass
+    # its row says so.  Each worker parses its points again, so none is
+    # kept here.
+    for value in values:
+        try:
+            parse_config(set_by_path(cfg.raw, param, value))
+        except CapacityError:
+            pass
     jobs = _integer("jobs", jobs, 1)
     started = time.perf_counter()
     workers = min(jobs, len(values))

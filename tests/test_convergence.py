@@ -657,19 +657,19 @@ def test_certified_verdict_is_the_full_verdict(family, monkeypatch):
     for _ in range(12):
         channel = random_chain_channel(rng, family)
         for tol in (1e-12, PERIPHERAL_ATOL, 1e-3, 0.5, 1.5):
-            peripheral, fixed, reason = convergence._certified_verdict(
-                channel, tol)
+            certified = convergence._certified_verdict(channel, tol)
             report = is_relaxing(channel, tol)
-            assert peripheral == report.peripheral_count
-            assert (fixed is not None) == report.relaxing
-            if fixed is None:
-                assert reason == report.reason
+            assert certified.peripheral_count == report.peripheral_count
+            assert certified.relaxing == report.relaxing
+            assert certified._blocks == [] and report._blocks
+            if not certified.relaxing:
+                assert certified.reason == report.reason
+                assert certified.fixed_point is None
                 continue
             relaxing += 1
-            assert reason is None
-            rho, residual = fixed
-            assert np.array_equal(rho, report.fixed_point)
-            assert residual == report.residual
+            assert math.isnan(certified.spectral_gap)
+            assert np.array_equal(certified.fixed_point, report.fixed_point)
+            assert certified.residual == report.residual
     # a unitary chain's coherence blocks keep their eigenvalues on the
     # circle, so none is certified; with a bath coupled, some are, and the
     # chain relaxes at some tolerance
@@ -686,21 +686,23 @@ def test_certified_verdict_is_the_full_verdict(family, monkeypatch):
 
 
 def certified_against_full(sop, tol, taken):
-    """``_certified_verdict``'s reason, and the blocks whose eigenvalues it
-    took, once its count, reason and fixed point are found to be
-    ``is_relaxing``'s, bit for bit.  ``taken`` is an :func:`eigvals_spy`
-    list."""
+    """``_certified_verdict``'s reason when it does not relax (None when it
+    does), and the blocks whose eigenvalues it took, once its count, reason
+    and fixed point are found to be ``is_relaxing``'s, bit for bit.
+    ``taken`` is an :func:`eigvals_spy` list."""
     start = len(taken)
-    peripheral, fixed, reason = convergence._certified_verdict(sop, tol)
+    certified = convergence._certified_verdict(sop, tol)
     solved = taken[start:]
     report = is_relaxing(sop, tol)
-    assert peripheral == report.peripheral_count
-    assert reason == (None if report.relaxing else report.reason)
-    assert (fixed is None) == (report.fixed_point is None)
-    if fixed is not None:
-        assert np.array_equal(fixed[0], report.fixed_point)
-        assert fixed[1] == report.residual
-    return reason, solved
+    assert certified.peripheral_count == report.peripheral_count
+    assert certified.relaxing == report.relaxing
+    assert (certified.fixed_point is None) == (report.fixed_point is None)
+    if not certified.relaxing:
+        assert certified.reason == report.reason
+        return certified.reason, solved
+    assert np.array_equal(certified.fixed_point, report.fixed_point)
+    assert certified.residual == report.residual
+    return None, solved
 
 
 def eigvals_spy(monkeypatch):
@@ -1074,6 +1076,22 @@ def test_haag_mixture_validation(rng):
         haag_mixture_check(base, other, 1.5)
     with pytest.raises(ShapeError):
         haag_mixture_check(base, unitary_conjugation_sop(np.eye(3)), 0.5)
+
+
+def test_haag_mixture_flags_a_non_relaxing_mixture():
+    # 3 I is no channel: mixed in, it keeps all 64 eigenvalues beyond the
+    # unit circle, so the check flags the verdict and keeps the rest of
+    # is_relaxing's report, its split included
+    raw = json.loads((CONFIGS / "swap_chain_homogenization.json").read_text())
+    sop = scenario_sop(**raw)
+    other = Superoperator(dim=sop.dim, matrix=3.0 * np.eye(sop.dim ** 2))
+    report = haag_mixture_check(sop, other, 0.5)
+    assert not report.relaxing
+    assert report.peripheral_count == 64
+    assert report.fixed_point is None and report._blocks
+    assert report.reason.startswith(
+        "theorem violation: mixture containing a relaxing channel with "
+        "weight 0.5 reported non-relaxing (64 eigenvalues within")
 
 
 def test_forgetting_metric_identical_inputs(rng):

@@ -245,16 +245,16 @@ def test_bath_frame_report_matches_computational_frame(raw, framed):
     cfg = parse_config(raw)
     channel = build_scenario_channel(cfg)
     assert (scenario._bath_frame(cfg) is not None) == framed
-    got = scenario._relaxing_report(
-        cfg, *scenario._framed_channel(cfg, channel)
-    )
+    in_frame, frame = scenario._framed_channel(cfg, channel)
+    got = convergence.is_relaxing(in_frame, tol=cfg.peripheral_tol)
     want = convergence.is_relaxing(channel.superoperator(),
                                    tol=cfg.peripheral_tol)
     assert got.relaxing and want.relaxing
     assert got.peripheral_count == want.peripheral_count
     assert abs(got.spectral_gap - want.spectral_gap) <= 1e-12
-    assert np.array_equal(got.fixed_point, got.fixed_point.conj().T)
-    assert qmath.trace_distance(got.fixed_point, want.fixed_point) <= 1e-10
+    rho = scenario._unframed(got.fixed_point, frame)
+    assert np.array_equal(rho, rho.conj().T)
+    assert qmath.trace_distance(rho, want.fixed_point) <= 1e-10
 
 
 def largest_block(superoperator):
@@ -350,13 +350,63 @@ def test_site_populations_spare_the_coherence_blocks(monkeypatch):
     assert diagonal[0].idx.size == 252
 
     channel = build_scenario_channel(cfg)
-    report = scenario._relaxing_report(
-        cfg, *scenario._framed_channel(cfg, channel)
-    )
+    framed, frame = scenario._framed_channel(cfg, channel)
+    report = convergence.is_relaxing(framed, tol=cfg.peripheral_tol)
     assert report.relaxing
     assert table.rows == scenario._population_rows(
-        cfg, channel, report.fixed_point, "ok"
+        cfg, channel, scenario._unframed(report.fixed_point, frame), "ok"
     )
+
+
+def test_site_populations_of_a_chain_that_does_not_relax():
+    # a bath-free chain keeps every magnetization sector, so the verdict
+    # refuses it and the rows report the state the Kraus loop reaches from
+    # the start: the ground state, which the chain keeps
+    table = run_scenario(parse_config(xxz_raw([], delta=0.7,
+                                              analysis="site_populations")))
+    assert [row[:2] for row in table.rows] == [("site", k) for k in range(3)]
+    assert np.allclose(table.column("p_zero"), 1.0, rtol=0.0, atol=1e-12)
+    assert set(table.column("status")) == {
+        "64 eigenvalues within 1e-08 of the unit circle; iterates do not "
+        "forget the initial state"
+    }
+
+
+def test_site_populations_that_do_not_converge_read_nan():
+    # neither relaxing nor settled within max_iter: every row, the bath's
+    # too, holds NaN and the iteration's message
+    raw = swap_chain_raw(sites=2, t=math.pi,
+                         baths=[{"site": 0, "state": "zero"}],
+                         initial_state={"random_seed": 3},
+                         tolerances={"max_iter": 5},
+                         analysis="site_populations")
+    table = run_scenario(parse_config(raw))
+    assert [row[:2] for row in table.rows] == [
+        ("site", 0), ("site", 1), ("bath", 0)]
+    assert all(math.isnan(p) for p in table.column("p_zero"))
+    assert all(status.startswith("no fixed point within 5 collisions")
+               for status in table.column("status"))
+
+
+def test_matrix_start_runs_as_the_state_it_writes_out():
+    raw = bundled_raw("swap_chain_homogenization")
+    ground = np.zeros((8, 8))
+    ground[0, 0] = 1.0
+    matrix = dict(raw, initial_state={"matrix": ground.tolist()})
+    assert csv_body(run_scenario(parse_config(matrix))) == csv_body(
+        run_scenario(parse_config(raw)))
+
+
+@pytest.mark.parametrize("raw", [
+    swap_chain_raw(sites=2, local_dim=3,
+                   baths=[{"site": 1, "state": QUTRIT_STATE}]),
+    swap_chain_raw(sites=1, baths=[{"site": 0, "state": {"diag": 0.7}}]),
+], ids=["qutrit", "one_site"])
+def test_concurrence_needs_a_pair_of_qubits(raw):
+    (row,) = run_scenario(parse_config(raw)).rows
+    row = dict(zip(scenario._ANALYSIS_COLUMNS["fixed_point"], row))
+    assert math.isnan(row["concurrence_12"])
+    assert row["status"] == "ok"
 
 
 def test_random_initial_state_reproducible():
@@ -402,6 +452,28 @@ def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
     for value in (2.5, True, float("nan"), "2", 0):
         with pytest.raises(ConfigError, match="^jobs: "):
             sweep(cfg, jobs=value)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_refuses_a_bad_later_point_before_any_point(jobs, monkeypatch):
+    # every point's config, the last one's too, is checked before any
+    # point runs; in two chunks, no chunk is sent to a worker
+    ran = []
+    monkeypatch.setattr(scenario, "_point_rows",
+                        lambda cfg: ran.append(cfg) or [])
+    if jobs == 2:
+        def no_chunks(args):
+            raise AssertionError("a sweep chunk ran")
+
+        monkeypatch.setattr(scenario, "_sweep_chunk", no_chunks)
+    cfg = parse_config(bundled_raw(
+        "swap_chain_homogenization",
+        sweep={"param": "baths.0.state.diag", "values": [0.7, 0.8, 1.5]}))
+    with pytest.raises(ConfigError) as info:
+        sweep(cfg, jobs=jobs)
+    assert str(info.value) == (
+        "baths[0].state.diag: must lie in [0.0, 1.0], got 1.5")
+    assert ran == []
 
 
 def test_sweep_preserves_value_order():
