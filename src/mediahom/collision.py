@@ -47,7 +47,7 @@ def unvectorize(vec, dim):
     return np.asarray(vec).reshape(dim, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Matrix form of a channel acting on row-major vectorized states."""
 
@@ -66,7 +66,7 @@ class Superoperator:
         return unvectorize(self.matrix @ vectorize(rho), self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerSequence:
     """Per-collision ancilla preparations for an imperfect controller.
 

@@ -43,7 +43,7 @@ _ANALYSES = ("fixed_point", "trajectory", "spectrum", "site_populations")
 _TOLERANCE_KEYS = ("iterate_tol", "max_iter", "peripheral_tol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathSpec:
     """One bath attachment: where it couples and what it prepares."""
 
@@ -59,7 +59,7 @@ class SweepSpec:
     values: tuple[float | int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     model: str
     sites: int

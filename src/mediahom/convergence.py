@@ -49,7 +49,7 @@ from .tolerances import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Verdict and diagnostics of a spectral relaxedness analysis.
 
@@ -70,7 +70,7 @@ class ConvergenceReport:
     spectral_gap: float
     peripheral_count: int
     residual: float
-    _blocks: list = field(default_factory=list, compare=False, repr=False)
+    _blocks: list = field(default_factory=list, repr=False)
 
 
 def _hermitian_layout(block, side):
@@ -122,7 +122,7 @@ def _from_real_form(vec, p, h):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Block:
     """One block of a superoperator, acting on entries ``idx`` of a state.
 

@@ -2,8 +2,9 @@
 
 ``run_scenario`` orchestrates the network builders, channel construction,
 and convergence analyses behind a single declarative config;  ``sweep``
-repeats it across the config's sweep section, optionally in parallel, with
-rows always assembled in input order.  Each point runs on its own: a
+maps one point function over the values of the config's sweep section,
+serially or in worker processes, with rows always in input order; a point
+that fails gives a status row.  Each point runs on its own: a
 fixed-point analysis builds the channel, then its spectral report, then
 iterates the fixed point and forms the rows.  The config is the one
 source of a run's analysis, sweep, start state (with its random seed) and
@@ -19,6 +20,7 @@ import datetime
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -330,50 +332,52 @@ def _point_rows(cfg):
     return _ANALYSIS_RUNNERS[cfg.analysis](cfg, channel, rho0)
 
 
+def _metadata(cfg, started, **extra):
+    """A table's provenance: the config's digest and analysis, the code's
+    version and kernel backend, ``extra``, and the wall time since
+    ``started``."""
+    return {
+        "config_digest": cfg.digest,
+        "version": __version__,
+        "backend": backend_name(),
+        "analysis": cfg.analysis,
+        **extra,
+        "wall_time_s": f"{time.perf_counter() - started:.3f}",
+    }
+
+
 def run_scenario(cfg):
     """Execute one scenario, as its config gives it."""
     started = time.perf_counter()
     rows = _point_rows(cfg)
-    elapsed = time.perf_counter() - started
-    return ResultTable(
-        columns=_ANALYSIS_COLUMNS[cfg.analysis],
-        rows=rows,
-        metadata={
-            "config_digest": cfg.digest,
-            "version": __version__,
-            "backend": backend_name(),
-            "analysis": cfg.analysis,
-            "wall_time_s": f"{elapsed:.3f}",
-        },
-    )
+    return ResultTable(_ANALYSIS_COLUMNS[cfg.analysis], rows,
+                       _metadata(cfg, started))
 
 
-def _guarded(fn, *args):
-    """``fn(*args)``, or a point's error row for any failure."""
+def _sweep_rows(raw, param, width, value):
+    """The rows of one sweep point, ``value`` at the front of each.
+
+    A point that fails for any reason gives one row of ``width`` cells:
+    the value, NaN cells, and a status that names the exception.
+    """
     try:
-        return fn(*args)
+        rows = _point_rows(parse_config(set_by_path(raw, param, value)))
     except Exception as exc:  # per-point failures land in the status column
-        return [("error", f"{type(exc).__name__}: {exc}")]
-
-
-def _sweep_chunk(args):
-    """One block of rows per sweep point of a contiguous chunk, in order."""
-    raw, param, values = args
-
-    def rows(value):
-        return _point_rows(parse_config(set_by_path(raw, param, value)))
-
-    return [_guarded(rows, value) for value in values]
+        status = f"{type(exc).__name__}: {exc}"
+        return [(value,) + (math.nan,) * (width - 2) + (status,)]
+    return [(value,) + tuple(row) for row in rows]
 
 
 def sweep(cfg, jobs=1):
     """Rerun a scenario across its config's sweep; one block of rows each.
 
-    When ``jobs`` exceeds 1, the values split into that many contiguous
-    chunks that run in parallel, one worker each; the output rows always
-    follow the input value order and do not depend on ``jobs``.  Per-point
-    failures are recorded in the status column, a point beyond a capacity
-    limit among them; any other config error aborts before a point runs.
+    One point function, :func:`_sweep_rows`, is mapped over the values:
+    serially for one job, else by a pool of at most ``jobs`` worker
+    processes, one contiguous chunk of values each.  The rows follow the
+    input value order either way and do not depend on ``jobs``.
+    Per-point failures are recorded in the status column, a point beyond
+    a capacity limit among them; any other config error aborts before a
+    point runs.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep: config has no sweep section")
@@ -381,8 +385,8 @@ def sweep(cfg, jobs=1):
     # The path and every substituted config must validate before any
     # workers start; per-point numerical failures are tolerated later, bad
     # configs are not.  A point beyond a capacity limit is no bad config:
-    # its row says so.  Each worker parses its points again, so none is
-    # kept here.
+    # its row says so.  Each point parses its config again, so none is
+    # kept here: a sweep may hold SWEEP_POINTS_LIMIT points.
     for value in values:
         try:
             parse_config(set_by_path(cfg.raw, param, value))
@@ -390,43 +394,26 @@ def sweep(cfg, jobs=1):
             pass
     jobs = _integer("jobs", jobs, 1)
     started = time.perf_counter()
-    workers = min(jobs, len(values))
-    cuts = [len(values) * k // workers for k in range(workers + 1)]
-    tasks = [(cfg.raw, param, values[a:b]) for a, b in zip(cuts, cuts[1:])]
+    columns = (param,) + _ANALYSIS_COLUMNS[cfg.analysis]
+    point = partial(_sweep_rows, cfg.raw, param, len(columns))
+    # one contiguous chunk of points per worker, and no worker without one
+    # (4 jobs over 5 points make 3 chunks of at most 2); integer ceiling
+    # divisions, exact for any int ``jobs``
+    chunk = -(-len(values) // jobs)
+    workers = -(-len(values) // chunk)
     if workers == 1:
-        chunks = [_sweep_chunk(tasks[0])]
+        blocks = map(point, values)
     else:
         # imported here: it loads multiprocessing, which a serial run and
         # ``import mediahom`` do without
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_chunk, tasks))
-    blocks = [block for chunk in chunks for block in chunk]
-    elapsed = time.perf_counter() - started
-
-    columns = (param,) + _ANALYSIS_COLUMNS[cfg.analysis]
-    width = len(columns)
-    table = ResultTable(
-        columns=columns,
-        metadata={
-            "config_digest": cfg.digest,
-            "version": __version__,
-            "backend": backend_name(),
-            "analysis": cfg.analysis,
-            "sweep_param": param,
-            "points": str(len(values)),
-            "jobs": str(jobs),
-            "wall_time_s": f"{elapsed:.3f}",
-        },
-    )
-    for value, block in zip(values, blocks):
-        for row in block:
-            if row and row[0] == "error":
-                padded = (value,) + (math.nan,) * (width - 2) + (row[1],)
-            else:
-                padded = (value,) + tuple(row)
-            table.append(padded)
-    return table
+            blocks = list(pool.map(point, values, chunksize=chunk))
+    rows = [row for block in blocks for row in block]
+    return ResultTable(columns, rows, _metadata(
+        cfg, started, sweep_param=param, points=str(len(values)),
+        jobs=str(jobs),
+    ))
 
 
 def _format_cell(value):

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from mediahom import convergence, qmath, scenario
+from mediahom.collision import ControllerSequence
 from mediahom.config import parse_config, set_by_path
 from mediahom.errors import ConfigError
 from mediahom.scenario import (
@@ -53,6 +54,31 @@ def test_result_table_enforces_width():
     assert table.column("b") == [2]
     with pytest.raises(ValueError):
         ResultTable(columns=("a",), rows=[(1, 2)])
+
+
+def relaxing_report():
+    report = convergence.is_relaxing(build_scenario_channel(
+        parse_config(bundled_raw("swap_chain_homogenization"))))
+    assert report.relaxing
+    return report
+
+
+@pytest.mark.parametrize("build", [
+    relaxing_report,
+    lambda: relaxing_report()._blocks[0],
+    lambda: build_scenario_channel(
+        parse_config(swap_chain_raw())).superoperator(),
+    lambda: ControllerSequence(np.diag([1.0, 0.0]),
+                               ((0.9, np.diag([0.0, 1.0])),)),
+    lambda: parse_config(bundled_raw("two_bath_equilibrium")).baths[0],
+    lambda: parse_config(bundled_raw("two_bath_equilibrium")),
+], ids=["ConvergenceReport", "_Block", "Superoperator", "ControllerSequence",
+        "BathSpec", "ScenarioConfig"])
+def test_array_holding_dataclasses_compare_by_identity(build):
+    # equal fields would mean comparing arrays, whose truth is ambiguous
+    a, b = build(), build()
+    assert (a == b) is False
+    assert (a == a) is True
 
 
 def test_build_scenario_channel_shapes():
@@ -427,10 +453,10 @@ def test_initial_state_matrix_dimension_checked():
 
 
 def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
-    def no_points(args):
+    def no_points(raw, param, width, value):
         raise AssertionError("a sweep point ran")
 
-    monkeypatch.setattr(scenario, "_sweep_chunk", no_points)
+    monkeypatch.setattr(scenario, "_sweep_rows", no_points)
     seeded = dict(tolerances={"iterate_tol": 1e-10, "max_iter": 9},
                   initial_state={"random_seed": 3})
     # a NaN is refused when the sweep section is parsed
@@ -457,15 +483,15 @@ def test_sweep_refuses_bad_overrides_before_any_point(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_refuses_a_bad_later_point_before_any_point(jobs, monkeypatch):
     # every point's config, the last one's too, is checked before any
-    # point runs; in two chunks, no chunk is sent to a worker
+    # point runs; with two jobs, no point is sent to a worker
     ran = []
     monkeypatch.setattr(scenario, "_point_rows",
                         lambda cfg: ran.append(cfg) or [])
     if jobs == 2:
-        def no_chunks(args):
-            raise AssertionError("a sweep chunk ran")
+        def no_points(raw, param, width, value):
+            raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr(scenario, "_sweep_chunk", no_chunks)
+        monkeypatch.setattr(scenario, "_sweep_rows", no_points)
     cfg = parse_config(bundled_raw(
         "swap_chain_homogenization",
         sweep={"param": "baths.0.state.diag", "values": [0.7, 0.8, 1.5]}))
@@ -492,9 +518,12 @@ def test_sweep_parallel_matches_serial():
         sweep={"param": "baths.0.state.diag", "values": [0.6, 0.7, 0.8, 0.9]}
     ))
     serial = sweep(cfg, jobs=1)
-    parallel = sweep(cfg, jobs=4)
-    assert serial.rows == parallel.rows
-    assert parallel.metadata["jobs"] == "4"
+    # one point per worker, two chunks of two, and more jobs than a float
+    # holds
+    for jobs in (4, 3, 10**400):
+        parallel = sweep(cfg, jobs=jobs)
+        assert serial.rows == parallel.rows
+        assert parallel.metadata["jobs"] == str(jobs)
 
 
 def test_sweep_defaults_from_config_section():
@@ -624,16 +653,19 @@ SWAP_TOLERANCES = {"iterate_tol": 1e-10, "max_iter": 20000}
      "tolerances.max_iter", [5, 20000], 1),
     (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
      "tolerances.iterate_tol", [1e-6, 1e-10], 1),
-    # t = 1e308 fails in the channel build: an error row, not iterated
+    # t = 1e308 fails in the channel build: an error row, not iterated,
+    # serially and built in a worker process
     (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
      "t", [0.5, 1e308], 1),
+    (bundled_raw("swap_chain_homogenization", tolerances=SWAP_TOLERANCES),
+     "t", [0.5, 1e308], 2),
     # 18 points, serially and in two chunks
     (bundled_raw("swap_chain_homogenization"), "t",
      np.linspace(0.2, 1.1, 18).tolist(), 1),
     (bundled_raw("swap_chain_homogenization"), "t",
      np.linspace(0.2, 1.1, 18).tolist(), 2),
 ], ids=["kraus_ranks", "sites", "max_iter", "iterate_tol", "error_row",
-        "groups", "groups_jobs2"])
+        "error_row_jobs2", "groups", "groups_jobs2"])
 def test_sweep_rows_equal_per_point_runs(raw, param, values, jobs):
     # rows hold NaN, so the CSV text is compared, not the row tuples
     raw = dict(raw, sweep={"param": param, "values": values})
