@@ -1,12 +1,16 @@
 """Hot collision loops: Kraus application, trajectories, fixed-point iteration.
 
 All functions take a complex128 Kraus stack of shape (m, D, D).  One
-collision is two matrix products over the whole stack: ``W = K rho`` with
-the operators stacked as rows, shape (m D, D), then ``W`` regrouped to
-(D, m D) times the adjoints stacked the same way, which sums the m terms
+collision is two matrix products and a view: ``W = R rho``, where the rows
+of the operators are stacked by output row, shape (D m, D), so that row
+block i holds row i of every ``K_k``; ``W`` read as (D, m D) is then
+``(K_1 rho)[i], ..., (K_m rho)[i]`` in row i, and its product with the
+adjoints stacked as rows, shape (m D, D), sums the m terms
 ``K_k rho K_k^dag`` inside the second product.  Call overhead, not
 arithmetic, sets the cost of a collision at the dimensions iterated here,
-so the fewer numpy calls the better.
+so the fewer numpy calls the better: a trajectory or a sequence of
+channels runs through one loop that writes each product into a
+preallocated array.
 
 The iterations decide convergence by the exact trace norm, but screen it
 with the Frobenius norm first: ``||X||_F <= ||X||_1``, so a Frobenius norm
@@ -46,26 +50,46 @@ def _screened_norm(diff: np.ndarray, tol: float) -> float:
 
 
 def _two_product_form(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The operators and the adjoints of a Kraus stack, stacked as rows.
+    """The rows and the adjoints of a Kraus stack, as two matrix operands.
 
-    A stack (m, D, D) gives two of shape (m D, D), whose row block k is
-    ``K_k`` and ``K_k^dag``.
+    A stack (..., m, D, D) gives two of shape (..., D m, D), each one copy
+    of the stack: the rows stacked by output row, whose block i holds row i
+    of every ``K_k``, and the adjoints stacked as rows, whose block k is
+    ``K_k^dag``.
     """
-    m, d, _ = kraus.shape
-    rows = kraus.reshape(m * d, d)
-    adjoints = kraus.conj().swapaxes(-1, -2).reshape(m * d, d)
-    return rows, adjoints
+    *lead, m, d, _ = kraus.shape
+    rows = kraus.swapaxes(-3, -2).reshape(*lead, d * m, d)
+    # a copy conjugated in place: the conjugate of the strided transpose
+    # would take a ufunc buffer as large as the stack
+    adjoints = kraus.swapaxes(-1, -2).copy()
+    np.conjugate(adjoints, out=adjoints)
+    return rows, adjoints.reshape(*lead, m * d, d)
 
 
 def _collide(rows: np.ndarray, adjoints: np.ndarray,
              rho: np.ndarray) -> np.ndarray:
-    """sum_k K_k rho K_k^dag from :func:`_two_product_form`'s stacks."""
-    d = rho.shape[-1]
-    w = rows @ rho                                  # block k is K_k rho
-    *lead, md, _ = w.shape
-    # row i of the regrouped W is (K_1 rho)[i], ..., (K_m rho)[i]
-    w = w.reshape(*lead, md // d, d, d).swapaxes(-3, -2).reshape(*lead, d, md)
-    return w @ adjoints
+    """sum_k K_k rho K_k^dag from :func:`_two_product_form`'s operands."""
+    w = rows @ rho              # row block i: (K_1 rho)[i] ... (K_m rho)[i]
+    *lead, dm, d = w.shape
+    return w.reshape(*lead, d, dm) @ adjoints
+
+
+def _collide_into(rows: np.ndarray, adjoints: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Collide ``out[0]`` through n forms in turn, filling ``out[1:]``.
+
+    ``rows`` and ``adjoints`` stack n forms of one shape, (n, D m, D), as
+    :func:`_two_product_form` gives them; ``out`` is (n+1, ..., D, D) with
+    the start state, or a stack of states, in ``out[0]``.  ``out[k + 1]``
+    is ``out[k]`` through form k, bitwise as :func:`_collide` gives it.
+    """
+    *lead, d, _ = out.shape[1:]
+    w = np.empty((*lead, rows.shape[-2], d), dtype=complex)
+    regrouped = w.reshape(*lead, d, rows.shape[-2])
+    for r, a, rho, nxt in zip(rows, adjoints, out, out[1:]):
+        np.matmul(r, rho, out=w)
+        np.matmul(regrouped, a, out=nxt)
+    return out
 
 
 def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -76,12 +100,10 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def trajectory(kraus: np.ndarray, rho0: np.ndarray, n: int) -> np.ndarray:
     """States after 0..n applications, shape (n+1, D, D)."""
     rows, adjoints = _two_product_form(kraus)
-    d = rho0.shape[0]
-    out = np.empty((n + 1, d, d), dtype=complex)
+    out = np.empty((n + 1, *rho0.shape), dtype=complex)
     out[0] = rho0
-    for k in range(n):
-        out[k + 1] = _collide(rows, adjoints, out[k])
-    return out
+    return _collide_into(np.broadcast_to(rows, (n, *rows.shape)),
+                         np.broadcast_to(adjoints, (n, *adjoints.shape)), out)
 
 
 def iterate_until(kraus: np.ndarray, rho0: np.ndarray, tol: float,

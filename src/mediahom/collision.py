@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from . import qmath
-from ._kernels import apply_kraus, trajectory
+from ._kernels import _collide_into, _two_product_form, apply_kraus, trajectory
 from .errors import CapacityError, ShapeError
 from .tolerances import (
     KRAUS_COMPLETENESS_ATOL,
@@ -72,16 +73,18 @@ class ControllerSequence:
 
     Step ``l`` prepares ``p_l * base_state + (1 - p_l) * perturbation_l``.
     Every weight must lie in ``(0, 1]``; ``p_min`` is the smallest weight
-    (1 for no steps).
+    (1 for no steps).  The weights and perturbations are stacked once, here.
     """
 
     base_state: np.ndarray
     steps: tuple[tuple[float, np.ndarray], ...]
     p_min: float = field(init=False)
+    _weights: np.ndarray = field(init=False, repr=False)
+    _perturbations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         base = qmath.ensure_density(self.base_state)
-        weights = self._weights()
+        weights = np.array([p for p, _ in self.steps], dtype=float)
         outside = np.flatnonzero(~((0.0 < weights) & (weights <= 1.0)))
         if outside.size:
             idx = int(outside[0])
@@ -89,31 +92,34 @@ class ControllerSequence:
                 f"step {idx}: weight {self.steps[idx][0]} outside (0, 1]"
             )
         object.__setattr__(self, "p_min", float(weights.min(initial=1.0)))
-        for idx, (_, state) in enumerate(self.steps):
-            if np.shape(state) != base.shape:
-                raise ShapeError(
-                    f"step {idx}: state has shape {np.shape(state)}, the base "
-                    f"state {base.shape}"
-                )
-        qmath.ensure_densities(self._perturbations(), what="step")
+        states = [state for _, state in self.steps]
+        try:
+            perturbations = np.array(states, dtype=complex)
+        except (TypeError, ValueError):     # ragged: the loop names the step
+            perturbations = None
+        if perturbations is None or perturbations.shape[1:] != base.shape:
+            for idx, state in enumerate(states):
+                if np.shape(state) != base.shape:
+                    raise ShapeError(
+                        f"step {idx}: state has shape {np.shape(state)}, the "
+                        f"base state {base.shape}"
+                    )
+            # no steps, or a step numpy cannot read as complex
+            perturbations = np.array(states, dtype=complex).reshape(
+                len(states), *base.shape
+            )
+        qmath.ensure_densities(perturbations, what="step")
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_perturbations", perturbations)
 
     def __len__(self):
         return len(self.steps)
 
-    def _weights(self):
-        return np.array([p for p, _ in self.steps], dtype=float)
-
-    def _perturbations(self):
-        dim = np.shape(self.base_state)[0]
-        return np.array(
-            [state for _, state in self.steps], dtype=complex
-        ).reshape(len(self.steps), dim, dim)
-
     def ancilla_states(self):
         """The mixed ancilla state actually prepared at each step, stacked."""
         omega = np.asarray(self.base_state, dtype=complex)
-        weights = self._weights()[:, None, None]
-        return weights * omega + (1.0 - weights) * self._perturbations()
+        weights = self._weights[:, None, None]
+        return weights * omega + (1.0 - weights) * self._perturbations
 
 
 def _checked_unitary(joint_unitary):
@@ -139,6 +145,8 @@ def _build_kraus(unitary, omegas, ancilla_dims):
     and dilated into the operators ``sqrt(mu_k) (I (x) <j|) U (I (x)
     |chi_k>)``, ordered by ``k`` then ``j``.  Returns the validated states
     and one contiguous ``(rank, D, D)`` stack per state; ranks may differ.
+    A state that keeps all ``anc**2`` operators gets a view of one shared
+    ``(n, anc**2, D, D)`` array; only a state that drops one gets a copy.
     """
     omegas = qmath.ensure_densities(omegas, what="ancilla state")
     n, anc = omegas.shape[0], omegas.shape[1]
@@ -173,7 +181,7 @@ def _build_kraus(unitary, omegas, ancilla_dims):
              + np.einsum("nkij,nkij->nk", ops.imag, ops.imag))
     used = np.repeat(kept, anc, axis=1) & ~(norms < _KRAUS_WEIGHT_CUTOFF**2)
     ops[~used] = 0.0
-    flat = ops.reshape(n, -1, d)
+    flat = ops.reshape(n, anc * anc * d, d)
     completeness = np.abs(
         flat.conj().swapaxes(1, 2) @ flat - np.eye(d)
     ).max(axis=(1, 2))
@@ -184,7 +192,10 @@ def _build_kraus(unitary, omegas, ancilla_dims):
             f"Kraus completeness defect {completeness[idx]:.3e} exceeds "
             f"{KRAUS_COMPLETENESS_ATOL:.0e} for ancilla state {idx}"
         )
-    return omegas, [op[mask] for op, mask in zip(ops, used)]
+    stacks = list(ops)
+    for idx in np.flatnonzero(~used.all(axis=1)):
+        stacks[idx] = ops[idx, used[idx]]
+    return omegas, stacks
 
 
 def _count(n, what):
@@ -205,22 +216,28 @@ class CollisionChannel:
     def __init__(self, joint_unitary, ancilla_state, ancilla_dims):
         unitary = _checked_unitary(joint_unitary)
         omegas, (kraus,) = _build_kraus(unitary, [ancilla_state], ancilla_dims)
-        self._adopt(unitary, omegas[0], ancilla_dims, kraus)
+        self._adopt(unitary, omegas[0], tuple(int(d) for d in ancilla_dims),
+                    kraus)
 
     @classmethod
     def _sharing(cls, unitary, ancilla_states, ancilla_dims):
-        """One channel per ancilla state, all on one checked unitary."""
+        """One channel per ancilla state, all on one checked unitary.
+
+        The channels share the one Kraus array :func:`_build_kraus` returns
+        views of; no states give no channels.
+        """
         omegas, stacks = _build_kraus(unitary, ancilla_states, ancilla_dims)
+        dims = tuple(int(d) for d in ancilla_dims)
         channels = []
         for omega, kraus in zip(omegas, stacks):
             channel = cls.__new__(cls)
-            channel._adopt(unitary, omega, ancilla_dims, kraus)
+            channel._adopt(unitary, omega, dims, kraus)
             channels.append(channel)
         return channels
 
     def _adopt(self, unitary, omega, ancilla_dims, kraus):
-        self.system_dim = unitary.shape[0] // omega.shape[0]
-        self.ancilla_dims = tuple(int(d) for d in ancilla_dims)
+        self.system_dim = kraus.shape[-1]
+        self.ancilla_dims = ancilla_dims
         self.joint_unitary = unitary
         self.ancilla_state = omega
         self._kraus = kraus
@@ -465,24 +482,44 @@ def direct_apply(joint_unitary, rho, ancilla_state):
     return qmath.partial_trace(joint, [d, anc], keep=[0])
 
 
+def _sequence_states(channels, rho0):
+    """The states of :func:`apply_sequence`, as one (n+1, ..., D, D) array.
+
+    Each run of consecutive channels whose Kraus stacks share one shape is
+    collided through one batched form.  A start that is not (..., D, D)
+    for every channel's D is refused before any collision.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
+        raise ShapeError(f"start state has shape {rho.shape}, not (..., D, D)")
+    runs, start = [], 0
+    for (_, d, _), run in groupby(channels, key=lambda ch: ch._kraus.shape):
+        if rho.shape[-1] != d:
+            raise ShapeError(
+                f"start state has shape {rho.shape}; channel {start} expects "
+                f"(..., {d}, {d})"
+            )
+        run = [ch._kraus for ch in run]
+        runs.append((start, run))
+        start += len(run)
+    out = np.empty((start + 1, *rho.shape), dtype=complex)
+    out[0] = rho
+    for first, run in runs:
+        kraus = np.concatenate(run).reshape(len(run), *run[0].shape)
+        _collide_into(*_two_product_form(kraus),
+                      out[first:first + len(run) + 1])
+    return out
+
+
 def apply_sequence(channels, rho0):
     """Compose channels left to right; returns all intermediate states.
 
     ``result[k]`` is the state after the first ``k`` channels, so the list
     has length ``len(channels) + 1`` and starts at ``rho0``.  A stack of
     states, shape ``(n, D, D)``, is carried through in one pass, each state
-    exactly as on its own.
+    exactly as on its own.  The states are views of one array.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    out = [rho]
-    for ch in channels:
-        if rho.shape[-1] != ch.system_dim:
-            raise ShapeError(
-                f"channel expects dim {ch.system_dim}, state has {rho.shape[-1]}"
-            )
-        rho = apply_kraus(ch._kraus, rho)
-        out.append(rho)
-    return out
+    return list(_sequence_states(channels, rho0))
 
 
 def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,

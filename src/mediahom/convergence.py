@@ -24,7 +24,7 @@ from .collision import (
     CollisionChannel,
     Superoperator,
     _count,
-    apply_sequence,
+    _sequence_states,
     unvectorize,
 )
 from .errors import (
@@ -836,7 +836,14 @@ def forgetting_metric(channels, rho1, rho2):
     """
     if len(channels) == 0:
         raise ValueError("forgetting metric needs a non-empty sequence")
-    pairs = np.stack(apply_sequence(channels, np.stack([rho1, rho2])))
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho1.shape != rho2.shape or rho1.ndim < 2:
+        raise ShapeError(
+            f"forgetting metric needs two states of one shape (..., D, D), "
+            f"got {rho1.shape} and {rho2.shape}"
+        )
+    pairs = _sequence_states(channels, np.stack([rho1, rho2]))
     return hermitian_trace_norm(pairs[:, 0] - pairs[:, 1]).tolist()
 
 

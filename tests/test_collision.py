@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mediahom import collision, network, qmath, scenario
+from mediahom._kernels import apply_kraus
 from mediahom.collision import (
     CollisionChannel,
     ControllerSequence,
@@ -189,6 +192,74 @@ def test_apply_sequence_composes_in_order(rng):
     assert np.array_equal(states[0], rho)
     manual = chans[2].apply(chans[1].apply(chans[0].apply(rho)))
     assert np.abs(states[3] - manual).max() < 1e-12
+
+
+def test_apply_sequence_equals_per_channel_kernel_calls_bitwise(rng):
+    # a pure base at weight 1 gives rank-2 stacks next to rank-4 ones, so
+    # the sequence runs through several batched forms
+    steps = tuple((1.0 if k % 3 else 0.6, qmath.random_density(2, rng))
+                  for k in range(10))
+    channels = imperfect_controller_sequence(
+        qmath.random_hermitian(2, rng), SWAP2, 0.5,
+        ControllerSequence(ZERO, steps),
+    )
+    ranks = [ch.kraus_operators().shape[0] for ch in channels]
+    assert ranks == [4, 2, 2] * 3 + [4]
+    pair = np.stack([qmath.random_density(2, rng) for _ in range(2)])
+    for start in (pair[0], pair):
+        loop = [start]
+        for ch in channels:
+            loop.append(apply_kraus(ch.kraus_operators(), loop[-1]))
+        states = apply_sequence(channels, start)
+        assert len(states) == len(loop)
+        for got, want in zip(states, loop):
+            assert np.array_equal(got, want)
+
+
+def test_iterate_equals_apply_sequence_of_copies_bitwise(rng):
+    channel = CollisionChannel(qmath.random_unitary(8, rng),
+                               qmath.random_density(2, rng), (2,))
+    rho = qmath.random_density(4, rng)
+    assert np.array_equal(channel.iterate(rho, 7),
+                          np.stack(apply_sequence([channel] * 7, rho)))
+
+
+def test_apply_sequence_refuses_a_malformed_start_before_any_collision(
+        rng, monkeypatch):
+    def collide(*args):
+        raise AssertionError("a malformed start reached a collision")
+
+    monkeypatch.setattr(collision, "_collide_into", collide)
+    chans = [partial_swap_channel(qmath.random_density(2, rng), t)
+             for t in (0.3, 0.9)]
+    for start, shape in ((np.ones((3, 2)), "(3, 2)"), (np.ones(2), "(2,)")):
+        for seq in (chans, []):
+            with pytest.raises(ShapeError, match=rf"^start state has shape "
+                                                 rf"{re.escape(shape)}, not"):
+                apply_sequence(seq, start)
+    for start, shape in ((np.eye(3) / 3, "(3, 3)"),
+                         (np.ones((2, 3, 3)), "(2, 3, 3)")):
+        match = rf"^start state has shape {re.escape(shape)}; channel 0"
+        with pytest.raises(ShapeError, match=match):
+            apply_sequence(chans, start)
+    # a channel of another dim is named by its index
+    three = CollisionChannel(qmath.random_unitary(6, rng), ZERO, (2,))
+    with pytest.raises(ShapeError,
+                       match=r"channel 2 expects \(\.\.\., 3, 3\)"):
+        apply_sequence(chans + [three], np.eye(2) / 2)
+
+
+def test_zero_step_controller_sequence_has_no_channels():
+    seq = ControllerSequence(np.diag([0.8, 0.2]), ())
+    assert seq.p_min == 1.0 and len(seq) == 0
+    assert seq.ancilla_states().shape == (0, 2, 2)
+    assert imperfect_controller_sequence(np.zeros((2, 2)), SWAP2, 0.5,
+                                         seq) == []
+    assert CollisionChannel._sharing(SWAP2.astype(complex),
+                                     np.empty((0, 2, 2)), (2,)) == []
+    rho = np.eye(2) / 2
+    (only,) = apply_sequence([], rho)
+    assert np.array_equal(only, rho)
 
 
 def test_controller_sequence_states_and_validation(rng):

@@ -1115,6 +1115,18 @@ def test_forgetting_metric_decays_and_is_monotone(rng):
         forgetting_metric([], rho1, rho2)
 
 
+def test_forgetting_metric_refuses_malformed_states(rng):
+    chans = [partial_swap_channel(qmath.random_density(2, rng), 0.4)] * 3
+    rho = qmath.random_density(2, rng)
+    with pytest.raises(ShapeError, match=r"one shape .*\(2, 2\) and \(3, 3\)"):
+        forgetting_metric(chans, rho, np.eye(3) / 3)
+    with pytest.raises(ShapeError, match=r"got \(2,\) and \(2,\)"):
+        forgetting_metric(chans, np.ones(2), np.ones(2))
+    with pytest.raises(ShapeError,
+                       match=r"^start state has shape \(2, 3, 3\)"):
+        forgetting_metric(chans, np.eye(3) / 3, np.eye(3) / 3)
+
+
 def test_forgetting_metric_equals_per_step_trace_norms(rng):
     # the batched trace norms reproduce one hermitian_trace_norm per step
     pert = [qmath.random_density(2, rng) for _ in range(200)]

@@ -42,7 +42,9 @@ def test_two_product_step_matches_sum_of_conjugations(dim, rng):
     for rank in (1, 2, 4, 16):
         kraus = random_kraus(dim, rank, rng)
         rows, adjoints = _two_product_form(kraus)
-        assert np.array_equal(rows, np.concatenate(list(kraus)))
+        # row block i holds row i of every operator, in operator order
+        assert np.array_equal(rows, np.concatenate(
+            [np.stack([k[i] for k in kraus]) for i in range(dim)]))
         assert np.array_equal(adjoints,
                               np.concatenate([k.conj().T for k in kraus]))
         want = np.stack([sum(k @ rho @ k.conj().T for k in kraus)
@@ -50,6 +52,38 @@ def test_two_product_step_matches_sum_of_conjugations(dim, rng):
         assert np.abs(apply_kraus(kraus, states) - want).max() <= 1e-15
         for rho, expected in zip(states, want):
             assert np.abs(apply_kraus(kraus, rho) - expected).max() <= 1e-15
+
+
+def regrouped_collision(kraus, rho):
+    """A collision as two products around a regrouping copy.
+
+    The operators stacked as rows, (m D, D), times rho; that result copied
+    into the layout (D, m D) whose row i is (K_1 rho)[i], ..., (K_m
+    rho)[i]; times the adjoints stacked as rows.
+    """
+    m, d, _ = kraus.shape
+    w = kraus.reshape(m * d, d) @ rho
+    *lead, md, _ = w.shape
+    w = w.reshape(*lead, m, d, d).swapaxes(-3, -2).reshape(*lead, d, md)
+    return w @ kraus.conj().swapaxes(-1, -2).reshape(m * d, d)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32])
+def test_apply_kraus_equals_regrouped_formula_bitwise(dim, rng):
+    # rows stacked by output row compute the same inner products in the
+    # same order, so the regrouping copy goes and no bit changes
+    for rank in (1, 2, 3, 4, 7, 16):
+        kraus = (rng.standard_normal((rank, dim, dim))
+                 + 1j * rng.standard_normal((rank, dim, dim)))
+        states = (rng.standard_normal((3, dim, dim))
+                  + 1j * rng.standard_normal((3, dim, dim)))
+        before = kraus.copy()
+        assert np.array_equal(apply_kraus(kraus, states),
+                              regrouped_collision(kraus, states))
+        assert np.array_equal(apply_kraus(kraus, states[1]),
+                              regrouped_collision(kraus, states[1]))
+        # the operands are copies: the stack is left as it was
+        assert np.array_equal(kraus, before)
 
 
 def test_trace_norm_matches_svd_route(rng):
