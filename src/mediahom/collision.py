@@ -73,14 +73,14 @@ class ControllerSequence:
 
     Step ``l`` prepares ``p_l * base_state + (1 - p_l) * perturbation_l``.
     Every weight must lie in ``(0, 1]``; ``p_min`` is the smallest weight
-    (1 for no steps).  The weights and perturbations are stacked once, here.
+    (1 for no steps).  The base and the perturbations are checked, and
+    their mixes stacked, once, here; a mix of checked states needs no check.
     """
 
     base_state: np.ndarray
     steps: tuple[tuple[float, np.ndarray], ...]
     p_min: float = field(init=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-    _perturbations: np.ndarray = field(init=False, repr=False)
+    _states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         base = qmath.ensure_density(self.base_state)
@@ -109,17 +109,16 @@ class ControllerSequence:
                 len(states), *base.shape
             )
         qmath.ensure_densities(perturbations, what="step")
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_perturbations", perturbations)
+        weights = weights[:, None, None]
+        object.__setattr__(self, "_states",
+                           weights * base + (1.0 - weights) * perturbations)
 
     def __len__(self):
         return len(self.steps)
 
     def ancilla_states(self):
-        """The mixed ancilla state actually prepared at each step, stacked."""
-        omega = np.asarray(self.base_state, dtype=complex)
-        weights = self._weights[:, None, None]
-        return weights * omega + (1.0 - weights) * self._perturbations
+        """A copy of the mixed ancilla states stacked at construction."""
+        return self._states.copy()
 
 
 def _checked_unitary(joint_unitary):
@@ -139,16 +138,16 @@ def _checked_unitary(joint_unitary):
 def _build_kraus(unitary, omegas, ancilla_dims):
     """Kraus stacks of the collisions of ``n`` ancilla states on one unitary.
 
-    ``omegas`` stacks the states, shape ``(n, anc, anc)``; ``unitary`` is
-    the joint matrix shared by every collision, already checked.  Each
-    state is validated, eigendecomposed as ``sum_k mu_k |chi_k><chi_k|``
-    and dilated into the operators ``sqrt(mu_k) (I (x) <j|) U (I (x)
-    |chi_k>)``, ordered by ``k`` then ``j``.  Returns the validated states
-    and one contiguous ``(rank, D, D)`` stack per state; ranks may differ.
-    A state that keeps all ``anc**2`` operators gets a view of one shared
-    ``(n, anc**2, D, D)`` array; only a state that drops one gets a copy.
+    ``omegas`` stacks the states, a complex ``(n, anc, anc)`` array that
+    the caller has checked as densities; ``unitary`` is the joint matrix
+    shared by every collision, already checked.  Each state is
+    eigendecomposed as ``sum_k mu_k |chi_k><chi_k|`` and dilated into the
+    operators ``sqrt(mu_k) (I (x) <j|) U (I (x) |chi_k>)``, ordered by
+    ``k`` then ``j``.  Returns one contiguous ``(rank, D, D)`` stack per
+    state; ranks may differ.  A state that keeps all ``anc**2`` operators
+    gets a view of one shared ``(n, anc**2, D, D)`` array; only a state
+    that drops one gets a copy.
     """
-    omegas = qmath.ensure_densities(omegas, what="ancilla state")
     n, anc = omegas.shape[0], omegas.shape[1]
     if anc != int(np.prod(ancilla_dims)):
         raise ShapeError(
@@ -195,7 +194,7 @@ def _build_kraus(unitary, omegas, ancilla_dims):
     stacks = list(ops)
     for idx in np.flatnonzero(~used.all(axis=1)):
         stacks[idx] = ops[idx, used[idx]]
-    return omegas, stacks
+    return stacks
 
 
 def _count(n, what):
@@ -215,25 +214,10 @@ class CollisionChannel:
 
     def __init__(self, joint_unitary, ancilla_state, ancilla_dims):
         unitary = _checked_unitary(joint_unitary)
-        omegas, (kraus,) = _build_kraus(unitary, [ancilla_state], ancilla_dims)
+        omegas = qmath.ensure_densities([ancilla_state], what="ancilla state")
+        (kraus,) = _build_kraus(unitary, omegas, ancilla_dims)
         self._adopt(unitary, omegas[0], tuple(int(d) for d in ancilla_dims),
                     kraus)
-
-    @classmethod
-    def _sharing(cls, unitary, ancilla_states, ancilla_dims):
-        """One channel per ancilla state, all on one checked unitary.
-
-        The channels share the one Kraus array :func:`_build_kraus` returns
-        views of; no states give no channels.
-        """
-        omegas, stacks = _build_kraus(unitary, ancilla_states, ancilla_dims)
-        dims = tuple(int(d) for d in ancilla_dims)
-        channels = []
-        for omega, kraus in zip(omegas, stacks):
-            channel = cls.__new__(cls)
-            channel._adopt(unitary, omega, dims, kraus)
-            channels.append(channel)
-        return channels
 
     def _adopt(self, unitary, omega, ancilla_dims, kraus):
         self.system_dim = kraus.shape[-1]
@@ -531,11 +515,17 @@ def imperfect_controller_sequence(system_hamiltonian, interaction_hamiltonian,
     collision in the ancilla state it acts as the same convex combination
     of the pure-``base`` and pure-``perturbation`` channels.  Every channel
     shares one joint unitary, computed and checked once, and the Kraus
-    stacks of all of them come from one batched pass.
+    stacks of all of them come from one batched pass.  ``sequence``
+    checked the states, so the dilation does not check them again.
     """
-    anc = np.shape(sequence.base_state)[0]
-    unitary = _bath_unitary(system_hamiltonian, [interaction_hamiltonian],
-                            (anc,), t)
-    return CollisionChannel._sharing(
-        _checked_unitary(unitary), sequence.ancilla_states(), (anc,)
-    )
+    omegas = sequence.ancilla_states()
+    dims = (omegas.shape[-1],)
+    unitary = _checked_unitary(_bath_unitary(
+        system_hamiltonian, [interaction_hamiltonian], dims, t
+    ))
+    channels = []
+    for omega, kraus in zip(omegas, _build_kraus(unitary, omegas, dims)):
+        channel = CollisionChannel.__new__(CollisionChannel)
+        channel._adopt(unitary, omega, dims, kraus)
+        channels.append(channel)
+    return channels

@@ -439,6 +439,13 @@ def _operand(op):
     return np.asarray(op.matrix), op.apply
 
 
+def _tolerance(tol):
+    """``tol`` as a float, refused unless it is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return float(tol)
+
+
 def spectral_fixed_point(sop):
     """The unique stationary state of a channel, from its spectrum.
 
@@ -467,8 +474,10 @@ def is_relaxing(sop, tol=PERIPHERAL_ATOL):
     collision, so the dense superoperator is never formed; a channel above
     system dim ``SUPEROPERATOR_DIM_LIMIT`` raises :class:`CapacityError`.
     A superoperator or Kraus stack with a NaN or infinite entry raises
-    ``numpy.linalg.LinAlgError``.
+    ``numpy.linalg.LinAlgError``; a ``tol`` that is not positive and finite
+    raises ``ValueError``.
     """
+    tol = _tolerance(tol)
     rows, apply = _operand(sop)
     split = _split(rows)
     spectra = [block.eigvals() for block in split]
@@ -599,6 +608,7 @@ def _certified_verdict(sop, tol=PERIPHERAL_ATOL):
     report's is NaN, and it keeps no split.  ``sop`` and the errors are as
     in :func:`is_relaxing`.
     """
+    tol = _tolerance(tol)
     rows, apply = _operand(sop)
     split = _split(rows)
     side = math.isqrt(rows.shape[0])
@@ -626,9 +636,7 @@ def iterative_fixed_point(channel, rho0, tol=DEFAULT_ITERATE_TOL,
     distinguishes.
     """
     rho0 = channel._state(rho0)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return _settled(*iterate_until(channel._kraus, rho0, float(tol),
+    return _settled(*iterate_until(channel._kraus, rho0, _tolerance(tol),
                                    _count(max_iter, "max_iter")))
 
 

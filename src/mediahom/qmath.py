@@ -242,21 +242,20 @@ def validate_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> DensityRepo
     return DensityReport(float(herm), float(trace), float(min_eig), tol_)
 
 
-def ensure_density(rho: np.ndarray, tol_: float = tol.PSD_ATOL) -> np.ndarray:
+def ensure_density(rho: np.ndarray) -> np.ndarray:
     """Return rho as a complex array, raising if it is not a valid state."""
     rho = _as_square(rho, "density matrix")
-    ensure_densities(rho[None], tol_, what=None)
+    ensure_densities(rho[None], what=None)
     return rho
 
 
-def ensure_densities(
-    rhos, tol_: float = tol.PSD_ATOL, what: str | None = "state"
-) -> np.ndarray:
+def ensure_densities(rhos, what: str | None = "state") -> np.ndarray:
     """Return a stack of states as one complex ``(n, D, D)`` array.
 
-    Every state is checked for Hermiticity, unit trace and positivity in
-    one batched pass; the error names the index of the first invalid
-    ``what`` (``what=None`` leaves the index out, for a single state).
+    Every state is checked for Hermiticity, unit trace and positivity at
+    ``PSD_ATOL``, in one batched pass; the error names the index of the
+    first invalid ``what`` (``what=None`` leaves the index out, for a
+    single state).
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
@@ -266,10 +265,10 @@ def ensure_densities(
     if not rhos.shape[0]:
         return rhos
     defects = _density_defects(rhos)
-    passed = _density_passes(*defects, tol_)
+    passed = _density_passes(*defects, tol.PSD_ATOL)
     if not passed.all():
         k = int(np.argmin(passed))
-        report = DensityReport(*(float(x[k]) for x in defects), tol_)
+        report = DensityReport(*(float(x[k]) for x in defects), tol.PSD_ATOL)
         where = f"{what} {k}: " if what is not None else ""
         raise ValueError(
             f"{where}not a valid density matrix ({report.describe()})"

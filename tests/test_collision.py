@@ -23,6 +23,7 @@ from mediahom.collision import (
 from mediahom.config import parse_config
 from mediahom.errors import CapacityError, ShapeError
 from mediahom.scenario import build_scenario_channel
+from mediahom.tolerances import PSD_ATOL
 
 SWAP2 = network.swap_operator([2, 2], 0, 1)
 ZERO = qmath.projector([1, 0])
@@ -255,8 +256,6 @@ def test_zero_step_controller_sequence_has_no_channels():
     assert seq.ancilla_states().shape == (0, 2, 2)
     assert imperfect_controller_sequence(np.zeros((2, 2)), SWAP2, 0.5,
                                          seq) == []
-    assert CollisionChannel._sharing(SWAP2.astype(complex),
-                                     np.empty((0, 2, 2)), (2,)) == []
     rho = np.eye(2) / 2
     (only,) = apply_sequence([], rho)
     assert np.array_equal(only, rho)
@@ -331,6 +330,53 @@ def test_sequence_kraus_ranks_may_differ_between_steps(rng):
         single = partial_swap_channel(state, 0.5)
         assert np.array_equal(channel.kraus_operators(),
                               single.kraus_operators())
+
+
+def test_controller_states_are_checked_once_where_they_enter(rng,
+                                                             monkeypatch):
+    checked = []
+
+    def spy(rhos, _defects=qmath._density_defects):
+        checked.append(rhos.shape)
+        return _defects(rhos)
+
+    monkeypatch.setattr(qmath, "_density_defects", spy)
+    steps = tuple((0.7, qmath.random_density(2, rng)) for _ in range(6))
+    seq = ControllerSequence(np.diag([0.8, 0.2]), steps)
+    assert checked == [(1, 2, 2), (6, 2, 2)]  # the base, then every step
+    checked.clear()
+    channels = imperfect_controller_sequence(np.zeros((2, 2)), SWAP2, 0.5,
+                                             seq)
+    assert len(channels) == 6 and checked == []
+    CollisionChannel(SWAP2, ZERO, (2,))
+    assert checked == [(1, 2, 2)]
+
+
+def test_prepared_states_of_edge_perturbations_stay_valid(rng):
+    # each input sits at the tolerance edge, least eigenvalue -0.9 tol and
+    # trace off by 0.9 tol, and so does each convex mix of them
+    eps = 0.9 * PSD_ATOL
+    edges = (np.diag([1.0 + 2 * eps, -eps]), np.diag([1.0, -eps]))
+    steps = []
+    for p in (1.0, 0.9, 0.5, 1e-3):
+        for edge in edges:
+            u = qmath.random_unitary(2, rng)
+            steps.append((p, u @ edge @ u.conj().T))
+    base = np.diag([-eps, 1.0 + 2 * eps])
+    seq = ControllerSequence(base, tuple(steps))
+    states = seq.ancilla_states()
+    for state in states:
+        assert qmath.validate_density(state).passed
+    channels = imperfect_controller_sequence(np.zeros((2, 2)), SWAP2, 0.5,
+                                             seq)
+    assert len(channels) == len(steps)
+    # the stack is fresh on every call, and the base was read once
+    states[:] = 0.0
+    base[:] = 0.0
+    weights = np.array([p for p, _ in steps])[:, None, None]
+    want = (weights * np.diag([-eps, 1.0 + 2 * eps])
+            + (1.0 - weights) * np.array([state for _, state in steps]))
+    assert np.array_equal(seq.ancilla_states(), want)
 
 
 def test_invalid_controller_step_is_named(rng):
@@ -516,12 +562,15 @@ def test_channel_construction_errors(rng):
         CollisionChannel(np.eye(4) * 2.0, ZERO, (2,))  # not unitary
     with pytest.raises(ValueError):
         CollisionChannel(np.full((4, 4), np.nan), ZERO, (2,))  # NaN defect
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ancilla state 0: not a valid "
+                                         r"density matrix \(fail: "):
         CollisionChannel(SWAP2, np.diag([2.0, -1.0]), (2,))  # bad state
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^ancilla state dim 2 does not "
+                                         r"match ancilla factors \(3,\)"):
         CollisionChannel(SWAP2, ZERO, (3,))  # dims mismatch the state
-    with pytest.raises(ShapeError):
-        CollisionChannel(np.eye(6), ZERO, (4,))  # 6 not divisible by 4
+    with pytest.raises(ShapeError, match="^joint dim 6 not divisible by "
+                                         "ancilla dim 4"):
+        CollisionChannel(np.eye(6), np.eye(4) / 4, (4,))
     with pytest.raises(ValueError):
         build_channel(np.zeros((2, 2)), SWAP2, ZERO, -1.0)
     with pytest.raises(ShapeError):

@@ -175,6 +175,17 @@ def test_error_messages_name_the_field():
         (base_raw(sites=12), "baths"),
         (base_raw(sweep={"param": "t", "linspace": [0, 1, 10**12]}),
          "sweep.linspace"),
+        # malformed structure, each named at the field that holds it
+        (base_raw(baths=[{"site": 2, "state": {"matrix": [[0.5, 0.0], 0.5]}}]),
+         "baths[0].state.matrix[1]: "),
+        (base_raw(local_dim=3), "baths[0].state.diag: "),
+        (base_raw(couplings={"edges": 5}), "couplings.edges: "),
+        (base_raw(couplings={"edges": [[0, 1]]}), "couplings.edges[0]: "),
+        (base_raw(analysis="trajectory"), "analysis: "),
+        ([base_raw()], "config: "),
+        (base_raw(model="xxz", delta=1.0, local_dim=3), "local_dim: "),
+        (base_raw(baths=[{"site": 2, "state": "zero", "colour": 1}]),
+         "baths[0]: "),
     ]
     for raw, fragment in cases:
         with pytest.raises(ConfigError) as info:

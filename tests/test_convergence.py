@@ -128,6 +128,24 @@ def test_peripheral_tol_reaches_the_degeneracy_check():
     assert is_relaxing(sop).peripheral_count == 2
 
 
+@pytest.mark.parametrize("verdict", [is_relaxing, convergence._certified_verdict])
+def test_verdicts_refuse_a_tolerance_not_positive_and_finite(verdict,
+                                                             monkeypatch):
+    # a relaxing channel, so a bad tol cannot hide behind a right verdict
+    raw = json.loads((CONFIGS / "swap_chain_homogenization.json").read_text())
+    channel = build_scenario_channel(parse_config(raw))
+    assert verdict(channel).relaxing
+
+    def split(rows):
+        raise AssertionError("a refused tolerance reached the split")
+
+    monkeypatch.setattr(convergence, "_split", split)
+    for tol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^tolerance must be positive "
+                                             "and finite, got "):
+            verdict(channel, tol)
+
+
 def scenario_sop(**raw):
     raw = {"couplings": {"chain": 1.0}, "t": 0.5, "initial_state": "ground",
            "analysis": "fixed_point", **raw}

@@ -24,6 +24,8 @@ def test_chain_graph_edges():
 def test_coupling_graph_validation():
     with pytest.raises(ValueError):
         network.CouplingGraph(0, ())
+    with pytest.raises(ValueError, match="^n_sites must be >= 1, got 0"):
+        network.chain_graph(0)
     with pytest.raises(ValueError):
         network.CouplingGraph(3, ((0, 3, 1.0),))  # site out of range
     with pytest.raises(ValueError):
@@ -42,6 +44,8 @@ def test_network_spec_validation():
         network.NetworkSpec(g, model="xxz", local_dim=3, delta=1.0)
     with pytest.raises(ValueError):
         network.NetworkSpec(g, model="swap", delta=1.0)  # delta meaningless
+    with pytest.raises(ValueError, match="^local_dim must be >= 2, got 1"):
+        network.NetworkSpec(g, local_dim=1)
     spec = network.NetworkSpec(g, local_dim=3)
     assert spec.dims == [3, 3, 3]
 

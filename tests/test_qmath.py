@@ -115,6 +115,16 @@ def test_partial_trace_product_rule(rng):
 def test_partial_trace_shape_mismatch():
     with pytest.raises(ShapeError):
         qmath.partial_trace(np.eye(6), [2, 2], keep=[0])
+    with pytest.raises(ShapeError, match="^operator must be a square matrix"):
+        qmath.partial_trace(np.ones((2, 3)), [2], keep=[0])
+    with pytest.raises(ShapeError, match="^subsystem shape must contain"):
+        qmath.partial_trace(np.eye(2), [], keep=[0])
+    with pytest.raises(ShapeError, match="^every local dimension must be >= 2"):
+        qmath.partial_trace(np.eye(2), [1, 2], keep=[0])
+    with pytest.raises(ShapeError, match="^keep must name at least one"):
+        qmath.partial_trace(np.eye(4), [2, 2], keep=[])
+    with pytest.raises(ShapeError, match=r"^keep indices \[2\] out of range"):
+        qmath.partial_trace(np.eye(4), [2, 2], keep=[2])
 
 
 def test_hermitian_eig_pauli_spectra():
@@ -270,6 +280,9 @@ def test_embed_acts_as_identity_elsewhere(rng):
     embedded = qmath.embed([2, 2, 2], {1: op})
     assert np.allclose(embedded, qmath.tensor([np.eye(2), op, np.eye(2)]),
                        atol=1e-12)
+    with pytest.raises(ShapeError, match="^factor 1 has dimension 2, "
+                                         "operator is 3x3"):
+        qmath.embed([2, 2, 2], {1: np.eye(3)})
 
 
 def test_basis_and_projector():
